@@ -68,7 +68,7 @@ from ..trace.io.bulk import BULK_PARSERS
 from ..trace.io.reader import _REBASED_FORMATS
 from ..trace.parsers import TraceParseError
 from ..trace.trace import BlockTrace
-from ..trace.writers import iter_csv_rows
+from ..trace.writers import iter_csv_chunks
 from .backpressure import QUEUE_POLICIES, BoundedChunkQueue
 from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
 from .sources import SocketLineSource, StreamSource
@@ -174,24 +174,15 @@ class _CsvSink:
         assert self._handle is not None, "open() first"
         start = self.nbytes
         try:
-            rows = iter_csv_rows(piece)
-            header = next(rows)
-            if not self._has_header:
-                self._write_line(header)
-                self._has_header = True
-            for row in rows:
-                self._write_line(row)
+            text = "".join(iter_csv_chunks(piece, header=not self._has_header))
+            data = text.encode("utf-8")
+            self._handle.write(data)
         except Exception:
             self._handle.truncate(start)
             self._handle.seek(start)
-            self.nbytes = start
-            self._has_header = start > 0
             raise
-
-    def _write_line(self, line: str) -> None:
-        data = (line + "\n").encode("utf-8")
-        self._handle.write(data)
-        self.nbytes += len(data)
+        self.nbytes = start + len(data)
+        self._has_header = True
 
     def sync(self) -> None:
         if self._handle is not None:
