@@ -7,12 +7,13 @@ methods, then trace sizes), applies the spec's ``exclude`` filters and
 
 Every point has a stable **run key** — a SHA-1 over the canonical JSON
 of everything that determines its result (action, options, the point's
-axis values, and the source-device description).  Run keys are the unit
-of checkpointing: the engine records each completed key on disk, and a
-resumed campaign recomputes exactly the keys that are missing.  The
-campaign *name* is deliberately not part of the key, so renaming a spec
-(or running two specs that share grid points into the same output
-directory) reuses completed work.
+axis values, the source-device description, and the intent generator's
+:data:`~repro.workloads.generator.INTENT_STREAM_VERSION`).  Run keys
+are the unit of checkpointing: the engine records each completed key on
+disk, and a resumed campaign recomputes exactly the keys that are
+missing.  The campaign *name* is deliberately not part of the key, so
+renaming a spec (or running two specs that share grid points into the
+same output directory) reuses completed work.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from ..workloads import generator
 from ..workloads.catalog import get_spec, workload_names
 from .spec import CampaignSpec, DeviceSpec
 
@@ -74,13 +76,16 @@ def resolve_workloads(selectors: tuple[str, ...]) -> tuple[str, ...]:
 def run_key(spec: CampaignSpec, point: RunPoint) -> str:
     """Stable content key for one grid point's result.
 
-    Covers the action, the shared options, the source device, and the
+    Covers the action, the shared options, the source device, the
     point's full description (including device parameters, not just
     its display name) — everything :func:`~repro.campaign.engine.
-    run_point` reads.  Campaign name and description are excluded on
-    purpose; see the module docstring.
+    run_point` reads — and the intent-stream version, so results
+    generated under another draw scheme are never reused.  Campaign
+    name and description are excluded on purpose; see the module
+    docstring.
     """
     payload = {
+        "intent_stream_version": generator.INTENT_STREAM_VERSION,
         "action": spec.action,
         "options": spec.options,
         "source_device": spec.source_device.to_dict(),

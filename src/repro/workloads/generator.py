@@ -30,7 +30,22 @@ from ..storage.device import StorageDevice
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
 
-__all__ = ["SizeMix", "IdleProcess", "WorkloadSpec", "IntentStream", "generate_intents", "collect_trace"]
+__all__ = [
+    "INTENT_STREAM_VERSION",
+    "SizeMix",
+    "IdleProcess",
+    "WorkloadSpec",
+    "IntentStream",
+    "generate_intents",
+    "collect_trace",
+]
+
+#: Identity of the :func:`generate_intents` draw scheme.  Version 2
+#: draws each column in bulk from its own ``SeedSequence.spawn`` child
+#: stream; version 1 drew request by request from one stream.  The
+#: same spec yields a different realisation under each version, so
+#: campaign run keys fold this number in.
+INTENT_STREAM_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,14 +136,26 @@ class IdleProcess:
             raise ValueError("idle_fraction must lie in [0, 1]")
         if self.idle_median_us < 0 or self.cpu_burst_mean_us < 0:
             raise ValueError("durations must be non-negative")
+        for label, value in (("idle_sigma", self.idle_sigma), ("cpu_burst_sigma", self.cpu_burst_sigma)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{label} must be finite and non-negative")
 
-    def sample_think(self, rng: np.random.Generator) -> tuple[float, bool]:
-        """Draw one think time; returns ``(microseconds, is_user_idle)``."""
-        if rng.random() < self.idle_fraction:
-            period = float(rng.lognormal(np.log(max(self.idle_median_us, 1e-9)), self.idle_sigma))
-            return period, True
-        burst = float(rng.lognormal(np.log(max(self.cpu_burst_mean_us, 1e-9)), self.cpu_burst_sigma))
-        return burst, False
+    def sample(
+        self, n: int, idle_rng: np.random.Generator, think_rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``n`` think times; returns ``(microseconds, is_user_idle)``.
+
+        The idle/burst decisions are one bulk draw from ``idle_rng``
+        and the log-normal magnitudes one bulk draw from ``think_rng``.
+        """
+        is_idle = idle_rng.random(n) < self.idle_fraction
+        mean = np.where(
+            is_idle,
+            np.log(max(self.idle_median_us, 1e-9)),
+            np.log(max(self.cpu_burst_mean_us, 1e-9)),
+        )
+        sigma = np.where(is_idle, self.idle_sigma, self.cpu_burst_sigma)
+        return think_rng.lognormal(mean, sigma), is_idle
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,31 +237,38 @@ def generate_intents(spec: WorkloadSpec) -> IntentStream:
     probability ``seq_run_continue``, otherwise it jumps to a uniform
     random aligned address.  Sequential continuations keep the current
     operation type (real streams are homogeneous); jumps re-draw it.
+
+    Every column is drawn in bulk from its own child stream of
+    ``SeedSequence(spec.seed)`` (see :data:`INTENT_STREAM_VERSION`), so
+    changing one knob re-draws only the columns that depend on it: a
+    new :class:`IdleProcess` leaves ops, addresses, sizes and sync
+    flags unchanged, and a new ``seq_run_continue`` leaves sizes, sync
+    flags and think times unchanged.
     """
-    rng = np.random.default_rng(spec.seed)
     n = spec.n_requests
-    sizes_choices = np.asarray(spec.size_mix.sizes, dtype=np.int64)
-    probs = spec.size_mix.probabilities
-    ops = np.empty(n, dtype=np.int8)
-    lbas = np.empty(n, dtype=np.int64)
-    sizes = rng.choice(sizes_choices, size=n, p=probs)
-    thinks = np.empty(n, dtype=np.float64)
-    is_idle = np.empty(n, dtype=bool)
-    syncs = rng.random(n) >= spec.async_fraction
-    current_op = int(OpType.READ if rng.random() < spec.read_fraction else OpType.WRITE)
-    cursor = int(rng.integers(0, spec.address_space_sectors // 2))
-    for i in range(n):
-        if i == 0 or rng.random() >= spec.seq_run_continue:
-            # Random jump: new aligned location, re-draw the op type.
-            cursor = int(rng.integers(0, spec.address_space_sectors - int(sizes[i])))
-            cursor -= cursor % 8  # 4 KB alignment, as filesystems issue
-            current_op = int(OpType.READ if rng.random() < spec.read_fraction else OpType.WRITE)
-        ops[i] = current_op
-        lbas[i] = cursor
-        cursor += int(sizes[i])
-        think, idle_flag = spec.idle.sample_think(rng)
-        thinks[i] = think
-        is_idle[i] = idle_flag
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(7)]
+    size_rng, sync_rng, jump_rng, addr_rng, op_rng, idle_rng, think_rng = streams
+    sizes = size_rng.choice(
+        np.asarray(spec.size_mix.sizes, dtype=np.int64), size=n, p=spec.size_mix.probabilities
+    )
+    syncs = sync_rng.random(n) >= spec.async_fraction
+    jumps = jump_rng.random(n) >= spec.seq_run_continue
+    jumps[0] = True
+    starts = np.flatnonzero(jumps)
+    # Jump targets: uniform in [0, space - size), 4 KB aligned as
+    # filesystems issue.
+    addr = addr_rng.integers(0, spec.address_space_sectors - sizes[starts])
+    addr -= addr % 8
+    run_ops = np.where(
+        op_rng.random(len(starts)) < spec.read_fraction, int(OpType.READ), int(OpType.WRITE)
+    ).astype(np.int8)
+    # Each request sits at its run's target plus the sectors the run
+    # has already covered.
+    run = np.cumsum(jumps) - 1
+    offset = np.cumsum(sizes) - sizes
+    lbas = addr[run] + (offset - offset[starts][run])
+    ops = run_ops[run]
+    thinks, is_idle = spec.idle.sample(n, idle_rng, think_rng)
     # The first request has no preceding gap to model.
     thinks[0] = 0.0
     is_idle[0] = False

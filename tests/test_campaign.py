@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.workloads.generator as generator_mod
 from repro.campaign import (
     CampaignEngine,
     CampaignSpec,
@@ -175,6 +176,12 @@ class TestPlan:
         assert expand(retuned).keys() != keys
         opted = _grid_spec(options={"device_times": False})
         assert expand(opted).keys() != keys
+
+    def test_run_keys_fold_in_intent_stream_version(self, monkeypatch):
+        keys = expand(_grid_spec()).keys()
+        version = generator_mod.INTENT_STREAM_VERSION
+        monkeypatch.setattr(generator_mod, "INTENT_STREAM_VERSION", version + 1)
+        assert not set(expand(_grid_spec()).keys()) & set(keys)
 
     def test_shards_cover_all_points(self):
         plan = expand(_grid_spec())

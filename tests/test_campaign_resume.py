@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.campaign.engine as engine_mod
+import repro.workloads.generator as generator_mod
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
 from repro.campaign.engine import _scan_checkpoints
 
@@ -104,6 +105,23 @@ def test_no_resume_flag_recomputes(tmp_path: Path, counted_run_point):
     result = CampaignEngine(spec, out_dir=out, resume=False).run()
     assert counter.calls == len(expand(spec))
     assert result.n_resumed == 0
+
+
+def test_other_intent_stream_version_recomputes_everything(
+    tmp_path: Path, monkeypatch, counted_run_point
+):
+    """Checkpoints and lake rows written under another draw scheme are stale."""
+    spec = _spec()
+    out, lake = tmp_path / "run", tmp_path / "lake.sqlite"
+    version = generator_mod.INTENT_STREAM_VERSION
+    monkeypatch.setattr(generator_mod, "INTENT_STREAM_VERSION", version - 1)
+    old = CampaignEngine(spec, out_dir=out, use_trace_store=False, lake=lake).run()
+    monkeypatch.setattr(generator_mod, "INTENT_STREAM_VERSION", version)
+    counter = counted_run_point()
+    result = CampaignEngine(spec, out_dir=out, use_trace_store=False, lake=lake).run()
+    assert counter.calls == len(old.plan)
+    assert result.n_resumed == 0 and result.n_lake_hits == 0
+    assert result.n_computed == len(old.plan)
 
 
 def test_degraded_sweep_interrupt_then_resume(tmp_path: Path, counted_run_point):
