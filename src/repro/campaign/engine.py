@@ -1,4 +1,4 @@
-"""Resumable, sharded execution of campaign plans.
+"""Resumable, chunked execution of campaign plans.
 
 :class:`CampaignEngine` turns a :class:`~repro.campaign.spec.
 CampaignSpec` into a :class:`~repro.campaign.results.ResultsTable`:
@@ -7,14 +7,15 @@ CampaignSpec` into a :class:`~repro.campaign.results.ResultsTable`:
    point's run key computed;
 2. keys already checkpointed under ``<out_dir>/runs/`` are loaded back
    instead of recomputed — an interrupted campaign resumes for free;
-3. the remaining points are split round-robin into shards and fanned
-   out across the experiment runner's process pool
-   (:meth:`~repro.experiments.runner.ParallelRunner.map`), sharing the
-   binary trace store so each catalog trace is materialised once and
-   memory-mapped by every worker;
-4. each worker checkpoints every completed point *as it finishes* (one
-   atomic JSON per run key), so a kill mid-shard loses at most the
-   points in flight;
+3. the remaining points are cut into contiguous chunks and run through
+   one chunk body (:func:`_run_chunk`): in-process at ``jobs=1``, or
+   pulled by the worker processes of the
+   :class:`~repro.campaign.supervise.SupervisedExecutor` above that,
+   sharing the binary trace store so each catalog trace is
+   materialised once and memory-mapped by every worker;
+4. every completed point is checkpointed *as it finishes* (one flushed
+   line in the worker's ``segment-*.jsonl``), so a kill mid-chunk loses
+   at most the point in flight;
 5. rows are reassembled in plan order and aggregated column-wise; with
    an output directory set, ``results.npz``/``results.csv``/
    ``report.md`` are written alongside the checkpoints.
@@ -32,10 +33,14 @@ per-figure loops.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
+import tempfile
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
@@ -53,6 +58,12 @@ from ..inference.idle import extract_idle
 from ..metrics.breakdown import average_idle_us, idle_breakdown
 from ..metrics.comparison import intt_gap_stats
 from ..perf import PerfRecorder
+from ..trace.io.cache import (
+    TraceStore,
+    default_trace_store_dir,
+    get_default_store,
+    set_default_store,
+)
 from ..workloads.catalog import get_spec
 from ..workloads.generator import WorkloadSpec
 from ..workloads.materialize import collect_trace_cached
@@ -67,8 +78,6 @@ from .supervise import (
 )
 
 __all__ = [
-    "CHECKPOINT_FORMATS",
-    "SCHEDULERS",
     "CampaignEngine",
     "CampaignResult",
     "resolve_method",
@@ -273,14 +282,14 @@ def _action_reconstruct(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
 
 
 def _action_synthetic(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
-    """Deterministic spin action for scheduler benchmarks and tests.
+    """Deterministic spin action for executor benchmarks and tests.
 
     Burns CPU proportional to ``n_requests`` (``iters_per_request``
     option, default 50) and returns a value that depends only on the
     iteration count — no traces, no devices, no wall clock — so
-    scheduling experiments can build grids with *known, skewed* point
-    costs and still assert bitwise-equal results across schedulers,
-    job counts, and resume boundaries.
+    execution experiments can build grids with *known, skewed* point
+    costs and still assert bitwise-equal results across job counts
+    and resume boundaries.
     """
     iters = int(spec.options.get("iters_per_request", 50)) * point.n_requests
     acc = 0.0
@@ -309,30 +318,17 @@ def run_point(spec: CampaignSpec, point: RunPoint) -> dict[str, Any]:
 # Checkpointing
 # ----------------------------------------------------------------------
 #
-# Two formats share the ``<out_dir>/runs/`` directory:
+# Completed points are appended to ``<out_dir>/runs/segment-<pid>-<n>.jsonl``
+# files, one self-contained JSON line per point, flushed per line: one
+# open file per worker instead of a write+rename pair per point, which
+# is what keeps large grids' checkpoint overhead flat.  Crash-safe by
+# construction: a kill can only tear the final line, and the resume
+# scan skips any line that does not parse.  Append-only — a resumed
+# campaign opens a fresh segment and never rewrites an old one.
 #
-# - **segments** (default) — each shard worker appends completed points
-#   to its own ``segment-<pid>-<n>.jsonl`` file, one self-contained JSON
-#   line per point, flushed per line.  One open file per shard instead
-#   of a write+rename pair per point, which is what makes large grids'
-#   checkpoint overhead flat.  Crash-safe by construction: a kill can
-#   only tear the final line, and the resume scan skips any line that
-#   does not parse.  Append-only — a resumed campaign opens a fresh
-#   segment and never rewrites an old one.
-# - **json** — the original one-atomic-file-per-point format
-#   (``<key>.json``, write-then-rename), kept as the documented
-#   fallback for tooling that wants to inspect or delete single points.
-#
-# The resume scan reads both, from a single directory listing.
-
-#: Valid values of ``CampaignEngine(checkpoint_format=...)``.
-CHECKPOINT_FORMATS = ("segments", "json")
-
-#: Valid values of ``CampaignEngine(scheduler=...)``.  ``"supervised"``
-#: is the stealing chunk queue run under worker supervision
-#: (:class:`~repro.campaign.supervise.SupervisedExecutor`): heartbeats,
-#: dead/hung-worker detection, lease reclaim, and respawn.
-SCHEDULERS = ("stealing", "static", "supervised")
+# Directories written before segments existed hold one atomic
+# ``<key>.json`` per point; the resume scan still reads (and
+# quarantines) those, from the same single directory listing.
 
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
@@ -343,12 +339,12 @@ def _checkpoint_path(out_dir: Path, key: str) -> Path:
 
 
 class _SegmentWriter:
-    """Append-only checkpoint segment for one shard.
+    """Append-only checkpoint segment for one worker's share of a run.
 
     The file is created lazily on the first append, with an
     ``O_EXCL`` claim on the first free ``segment-<pid>-<n>.jsonl``
-    name, so concurrent shard workers (distinct pids) and sequential
-    resumed runs (same pid, bumped ``<n>``) never share a segment.
+    name, so concurrent workers (distinct pids) and sequential runs
+    (same pid, bumped ``<n>``) never share a segment.
     Every appended line is flushed immediately: after a kill the file
     holds every completed point, at worst plus one torn final line the
     resume scan discards.
@@ -455,15 +451,15 @@ def _scan_checkpoints_meta(
 ) -> dict[str, tuple[dict[str, Any], float | None, str]]:
     """Checkpointed ``(row, wall_s, filename)`` per key, one dir scan.
 
-    Reads every segment file and exactly the per-point JSON files whose
-    key appears in the listing — a resumed campaign no longer stats
-    ``runs/<key>.json`` once per grid point.  Torn or malformed segment
-    lines (a crash mid-append) and corrupt JSON files are skipped, so
-    those points simply recompute.
+    Reads every segment file and exactly the legacy per-point JSON
+    files whose key appears in the listing — a resumed campaign never
+    stats ``runs/<key>.json`` once per grid point.  Torn or malformed
+    segment lines (a crash mid-append) and corrupt JSON files are
+    skipped, so those points simply recompute.
 
     When a key appears more than once (e.g. a ``--no-resume`` rerun
-    after a code change appended fresh lines, or rewrote the key's
-    JSON file), the row from the newest file wins — file mtime, with
+    after a code change appended fresh lines next to an older segment
+    or legacy JSON file), the row from the newest file wins — file mtime, with
     later lines beating earlier ones inside a segment and filename as
     the cross-file tiebreak — matching the overwrite semantics the
     JSON-per-point format always had.
@@ -505,7 +501,7 @@ def _scan_checkpoints_meta(
             try:
                 data = json.loads(line)
             except json.JSONDecodeError:
-                continue  # torn final line of a killed shard
+                continue  # torn final line of a killed worker
             parsed_any = True
             row = _valid_row(data)
             if row is None or data["key"] not in wanted:
@@ -551,41 +547,11 @@ def _scan_checkpoints(out_dir: Path, keys: list[str]) -> dict[str, dict[str, Any
     return {key: row for key, (row, _, _) in _scan_checkpoints_meta(out_dir, keys).items()}
 
 
-def _write_checkpoint(
-    out_dir: Path, key: str, row: dict[str, Any], wall_s: float | None = None
-) -> None:
-    """Atomically record one completed run key.
-
-    Write-then-rename keeps readers (a resuming campaign, a concurrent
-    ``repro-campaign report``) from ever seeing a torn file; the PID in
-    the temp name keeps parallel shard workers from clobbering each
-    other's in-flight writes.  ``wall_s`` rides along like the segment
-    format's (:meth:`_SegmentWriter.append`).
-    """
-    path = _checkpoint_path(out_dir, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    payload: dict[str, Any] = {"key": key, "row": row}
-    if wall_s is not None:
-        payload["wall_s"] = wall_s
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _load_checkpoint(out_dir: Path, key: str) -> dict[str, Any] | None:
-    """A previously checkpointed row, or ``None`` (missing/corrupt)."""
-    path = _checkpoint_path(out_dir, key)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    return _valid_row(data, key)
-
-
-#: Per-worker cache of open lake catalogs, keyed by database path.  A
+#: Per-process cache of open lake catalogs, keyed by database path.  A
 #: worker records every point it completes into one connection; the
 #: catalog runs WAL mode with a busy timeout, so concurrent workers
-#: (and concurrent campaigns) interleave their upserts safely.
+#: (and concurrent campaigns) interleave their upserts safely.  The
+#: in-process run closes its entry when it ends (:func:`_release_chunk_state`).
 _WORKER_LAKES: dict[str, Any] = {}
 
 
@@ -641,21 +607,6 @@ def _record_into_lake(
         )
 
 
-def _unpack_context(
-    context: tuple[Any, ...],
-) -> tuple[dict[str, Any], str | None, str, str | None, Resilience | None]:
-    """``(spec dict, out dir, checkpoint format, lake path, resilience)``
-    from a worker context tuple; the lake and resilience slots are
-    optional for callers built before those layers existed."""
-    spec_dict, out_dir_text, checkpoint_format, *rest = context
-    lake_text = rest[0] if rest else None
-    resilience_dict = rest[1] if len(rest) > 1 else None
-    resilience = (
-        Resilience.from_dict(resilience_dict) if resilience_dict is not None else None
-    )
-    return spec_dict, out_dir_text, checkpoint_format, lake_text, resilience
-
-
 def _execute_point(
     spec: CampaignSpec,
     plan: CampaignPlan,
@@ -668,7 +619,7 @@ def _execute_point(
 
     Returns ``(row, wall_s, quarantined)``.  With no resilience
     configured this is the historical behaviour — the point's exception
-    propagates and kills the shard.  With one, transient failures retry
+    propagates and fails the run.  With one, transient failures retry
     with backoff and exhausted/permanent failures come back as
     quarantine rows (see :func:`~repro.campaign.supervise.
     run_point_resilient`).  ``run_point`` is resolved through the
@@ -685,86 +636,34 @@ def _execute_point(
     return row, round(time.perf_counter() - start, 6), quarantined
 
 
-def _run_shard(
-    context: tuple[Any, ...],
-    items: list[tuple[int, str]],
-) -> list[tuple[str, dict[str, Any]]]:
-    """Worker entry point: run one shard of (point index, run key) pairs.
-
-    Module-level (picklable) and self-contained: the campaign context
-    ``(spec dict, output dir, checkpoint format, lake path)`` arrives
-    once per worker through :meth:`~repro.experiments.runner.
-    ParallelRunner.map`'s initializer — not re-pickled per shard — and
-    the plan is re-expanded locally (expansion is deterministic, so
-    indices agree with the parent's plan).  Each completed point is
-    checkpointed immediately — appended to this shard's segment file,
-    or written as its own atomic JSON under the fallback format — and,
-    when a lake is configured, recorded into the catalog with its
-    measured wall time.
-    """
-    spec_dict, out_dir_text, checkpoint_format, lake_text, resilience = _unpack_context(context)
-    spec = CampaignSpec.from_dict(spec_dict)
-    plan = expand(spec)
-    out_dir = Path(out_dir_text) if out_dir_text else None
-    lake = _worker_lake(lake_text)
-    injector = resilience.injector() if resilience is not None else None
-    segment = _SegmentWriter(out_dir) if (
-        out_dir is not None and checkpoint_format == "segments"
-    ) else None
-    results: list[tuple[str, dict[str, Any]]] = []
-    try:
-        for index, key in items:
-            row, wall_s, quarantined = _execute_point(
-                spec, plan, index, key, resilience, injector
-            )
-            checkpoint_file: str | None = None
-            checkpoint_path: Path | None = None
-            if segment is not None:
-                segment.append(key, row, wall_s=wall_s)
-                checkpoint_path = segment.path
-                checkpoint_file = segment.path.name if segment.path else None
-            elif out_dir is not None:
-                _write_checkpoint(out_dir, key, row, wall_s=wall_s)
-                checkpoint_path = _checkpoint_path(out_dir, key)
-                checkpoint_file = f"{key}.json"
-            if injector is not None:
-                injector.after_checkpoint(index, checkpoint_path)
-            if lake is not None and not quarantined:
-                _record_into_lake(lake, spec, key, row, wall_s, out_dir, checkpoint_file)
-            results.append((key, row))
-    finally:
-        if segment is not None:
-            segment.close()
-    return results
-
-
-#: Worker-process caches for the stealing scheduler, keyed by the
-#: campaign context.  A worker runs many chunks of one campaign, so the
-#: expanded plan is computed once per worker (not once per chunk) and
-#: all of a worker's chunks append to *one* segment file — the same
-#: one-segment-per-worker layout the static shard path produces.
-#: Bounded by construction: a worker process serves one engine run at a
-#: time, and both caches are keyed by that run's context.
+#: Per-process caches of :func:`_run_chunk`.  A process runs many
+#: chunks of one campaign, so the expanded plan is computed once per
+#: process (not once per chunk) and all of its chunks append to *one*
+#: segment file.  Bounded by construction: a process serves one engine
+#: run at a time, the plan cache holds one spec, and the segment cache
+#: is keyed by output directory.  The in-process path empties the
+#: segment entry at the end of its run (:func:`_release_chunk_state`);
+#: a supervised worker's entry lives until the worker exits.
 _CHUNK_PLANS: dict[str, tuple[CampaignSpec, CampaignPlan]] = {}
-_CHUNK_SEGMENTS: dict[tuple[str, str], _SegmentWriter] = {}
+_CHUNK_SEGMENTS: dict[str, _SegmentWriter] = {}
 
 
 def _run_chunk(
     context: tuple[Any, ...],
     items: list[tuple[int, str]],
 ) -> list[tuple[str, dict[str, Any]]]:
-    """Worker entry point for the stealing scheduler: run one chunk.
+    """Run one chunk of (point index, run key) pairs; the one chunk body.
 
-    Same contract as :func:`_run_shard` — (point index, run key) pairs
-    in, checkpointed ``(key, row)`` pairs out — but built to be called
-    many times per worker: the spec expansion, the segment writer, and
-    the lake connection live in module-global per-worker caches, so a
-    hundred chunks cost one plan expansion and open one segment file.
-    Cached segments are never explicitly closed; every append is
-    flushed, so the handle is crash-equivalent to the shard path's and
-    the checkpoint is complete the moment the line hits the file.
+    ``context`` is ``(spec dict, out dir, lake path, resilience dict)``
+    — the last three ``None`` when unset.  The plan is re-expanded
+    locally on first use (expansion is deterministic, so indices agree
+    with the parent's plan).  Each completed point is appended to this
+    process's segment file the moment it finishes and, when a lake is
+    configured, recorded into the catalog with its measured wall time;
+    the return value is the chunk's ``(key, row)`` pairs.  Every append
+    is flushed, so a cached segment is crash-equivalent to a closed one.
     """
-    spec_dict, out_dir_text, checkpoint_format, lake_text, resilience = _unpack_context(context)
+    spec_dict, out_dir_text, lake_text, resilience_dict = context
     spec_key = json.dumps(spec_dict, sort_keys=True)
     cached = _CHUNK_PLANS.get(spec_key)
     if cached is None:
@@ -775,34 +674,45 @@ def _run_chunk(
     spec, plan = cached
     out_dir = Path(out_dir_text) if out_dir_text else None
     lake = _worker_lake(lake_text)
+    resilience = (
+        Resilience.from_dict(resilience_dict) if resilience_dict is not None else None
+    )
     injector = resilience.injector() if resilience is not None else None
     segment = None
-    if out_dir is not None and checkpoint_format == "segments":
-        seg_key = (str(out_dir), checkpoint_format)
-        segment = _CHUNK_SEGMENTS.get(seg_key)
-        if segment is None:
-            segment = _CHUNK_SEGMENTS.setdefault(seg_key, _SegmentWriter(out_dir))
+    if out_dir is not None:
+        segment = _CHUNK_SEGMENTS.setdefault(out_dir_text, _SegmentWriter(out_dir))
     results: list[tuple[str, dict[str, Any]]] = []
     for index, key in items:
         row, wall_s, quarantined = _execute_point(
             spec, plan, index, key, resilience, injector
         )
-        checkpoint_file: str | None = None
-        checkpoint_path: Path | None = None
+        checkpoint: Path | None = None
         if segment is not None:
             segment.append(key, row, wall_s=wall_s)
-            checkpoint_path = segment.path
-            checkpoint_file = segment.path.name if segment.path else None
-        elif out_dir is not None:
-            _write_checkpoint(out_dir, key, row, wall_s=wall_s)
-            checkpoint_path = _checkpoint_path(out_dir, key)
-            checkpoint_file = f"{key}.json"
+            checkpoint = segment.path
         if injector is not None:
-            injector.after_checkpoint(index, checkpoint_path)
+            injector.after_checkpoint(index, checkpoint)
         if lake is not None and not quarantined:
+            checkpoint_file = checkpoint.name if checkpoint is not None else None
             _record_into_lake(lake, spec, key, row, wall_s, out_dir, checkpoint_file)
         results.append((key, row))
     return results
+
+
+def _release_chunk_state(out_dir_text: str | None, lake_text: str | None) -> None:
+    """Close and forget this process's cached segment and lake handles.
+
+    The in-process run calls this when it finishes (or fails), so the
+    next run in the same process claims a fresh segment instead of
+    appending to this one, and no open catalog connection is inherited
+    by the worker processes a later supervised run forks.
+    """
+    segment = _CHUNK_SEGMENTS.pop(out_dir_text, None) if out_dir_text else None
+    if segment is not None:
+        segment.close()
+    lake = _WORKER_LAKES.pop(lake_text, None) if lake_text else None
+    if lake is not None:
+        lake.close()
 
 
 # ----------------------------------------------------------------------
@@ -822,8 +732,9 @@ class CampaignResult:
     (points that exhausted their retry budget); ``n_degraded`` counts
     the ``degraded.log`` lines — failures the run absorbed (lake
     fallbacks, quarantined corrupt checkpoint files) instead of
-    raising.  ``supervision`` holds the supervised scheduler's
-    dead/hung/respawned/reclaimed counters (``None`` off that path).
+    raising.  ``supervision`` holds the supervised executor's
+    dead/hung/respawned/reclaimed counters (``None`` for an in-process
+    run).
     """
 
     table: ResultsTable
@@ -838,7 +749,21 @@ class CampaignResult:
 
 
 class CampaignEngine:
-    """Plans, shards, checkpoints, and aggregates one campaign.
+    """Plans, chunks, checkpoints, and aggregates one campaign.
+
+    There is one execution path.  The pending points are cut into
+    contiguous chunks (``CampaignPlan.chunks``; ~4 per worker, capped
+    at 32 points) and each chunk runs through :func:`_run_chunk`.  With
+    ``jobs > 1``, or a ``resilience`` policy carrying chaos injections
+    (which kill and hang workers), the chunks go to a
+    :class:`~repro.campaign.supervise.SupervisedExecutor`: worker
+    processes pull chunks as they free up and beat a heartbeat file at
+    each point boundary, and the parent SIGKILLs hung workers, reclaims
+    dead workers' leases (salvaging their checkpointed points), and
+    respawns replacements up to ``respawn_budget``.  Otherwise the same
+    chunks run in this process.  Both produce identical rows and
+    identical checkpoints, so resume never depends on how a point was
+    dispatched.
 
     Parameters
     ----------
@@ -847,10 +772,12 @@ class CampaignEngine:
     out_dir:
         Output/checkpoint directory.  ``None`` (the in-process mode the
         figure sweeps use) computes everything in memory with no disk
-        traffic.
+        traffic.  Completed points are appended to
+        ``runs/segment-*.jsonl`` (one file per worker); the resume scan
+        also reads the one-``<key>.json``-per-point files older runs
+        wrote.
     jobs:
-        Worker processes; shards run across the experiment runner's
-        process pool when > 1.
+        Worker processes; ``1`` runs in-process.
     use_trace_store / trace_store_dir:
         Materialise catalog traces once into the binary trace store and
         memory-map them from every worker (same semantics as
@@ -867,30 +794,6 @@ class CampaignEngine:
         (``n_lake_hits``), and every point this run computes is
         recorded back — campaigns become incremental across runs and
         directories, not just resumable within one.
-    checkpoint_format:
-        ``"segments"`` (default) appends completed points to per-shard
-        ``segment-*.jsonl`` files — one open file per shard, flat
-        overhead on large grids; ``"json"`` writes the original one
-        atomic ``<key>.json`` per point.  Resume reads both, so the
-        formats mix freely across runs of one campaign.
-    scheduler:
-        ``"stealing"`` (default) queues the pending points as small
-        contiguous chunks that idle workers pull dynamically — a slow
-        point delays only its own chunk, so skewed grids finish at the
-        speed of the work, not of the unluckiest shard.  ``"static"``
-        is the original round-robin pre-assignment of one shard per
-        worker.  ``"supervised"`` is the stealing queue run under
-        worker supervision: every worker beats a heartbeat file at
-        each point boundary, and a supervisor loop in the parent
-        SIGKILLs hung workers, reclaims dead workers' leased chunks
-        (salvaging their checkpointed points), and respawns
-        replacements up to ``respawn_budget`` — and it always runs
-        workers out-of-process, even with ``jobs=1``, so a worker
-        death never takes the campaign down.  All three produce
-        identical rows and identical per-point checkpoints (resume is
-        scheduler-agnostic: run keys do not know how points were
-        dispatched); with ``jobs=1`` the first two run inline as a
-        single shard.
     resilience:
         Optional :class:`~repro.campaign.supervise.Resilience` — the
         per-point fault policy (retry/backoff on transient failures,
@@ -898,10 +801,13 @@ class CampaignEngine:
         injection).  ``None`` (default) keeps the historical contract:
         a grid point's exception propagates and fails the run.
     hang_timeout_s / respawn_budget:
-        Supervised-scheduler knobs: the heartbeat staleness that
-        declares a worker hung (must exceed the slowest legitimate
-        point), and the total replacement workers the run may spawn
-        (default ``2 * jobs``).
+        Supervised-executor knobs: the heartbeat staleness that
+        declares a worker hung, and the total replacement workers the
+        run may spawn (default ``2 * jobs``).  The hang deadline is
+        part of the fault policy, so it applies only when
+        ``resilience`` is set, and must then exceed the slowest
+        legitimate point; with ``resilience=None`` a slow point is
+        never declared hung.
     perf:
         Optional :class:`~repro.perf.PerfRecorder`; when given, the
         engine times its ``plan``/``resume_scan``/``compute``/
@@ -916,8 +822,6 @@ class CampaignEngine:
         use_trace_store: bool = False,
         trace_store_dir: str | Path | None = None,
         resume: bool = True,
-        checkpoint_format: str = "segments",
-        scheduler: str = "stealing",
         lake: "str | Path | None" = None,
         perf: "PerfRecorder | None" = None,
         resilience: "Resilience | None" = None,
@@ -926,22 +830,12 @@ class CampaignEngine:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if checkpoint_format not in CHECKPOINT_FORMATS:
-            raise ValueError(
-                f"unknown checkpoint format {checkpoint_format!r}; use one of {CHECKPOINT_FORMATS}"
-            )
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}"
-            )
         self.spec = spec
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.jobs = jobs
         self.use_trace_store = use_trace_store
         self.trace_store_dir = trace_store_dir
         self.resume = resume
-        self.checkpoint_format = checkpoint_format
-        self.scheduler = scheduler
         self.lake = Path(lake) if lake is not None else None
         self.perf = perf if perf is not None else PerfRecorder(enabled=False)
         if (
@@ -954,8 +848,6 @@ class CampaignEngine:
                     "chaos injection needs an out_dir (fire-once markers live there)"
                 )
             if resilience.chaos_dir is None:
-                from dataclasses import replace
-
                 resilience = replace(
                     resilience, chaos_dir=str(self.out_dir / ".chaos")
                 )
@@ -972,8 +864,6 @@ class CampaignEngine:
         finished before the failure is already checkpointed, so rerun
         to resume.
         """
-        from ..experiments.runner import ParallelRunner
-
         with self.perf.stage("plan"):
             plan = expand(self.spec)
             keys = plan.keys()
@@ -997,12 +887,16 @@ class CampaignEngine:
             completed.update(hits)
             pending = [i for i in pending if keys[i] not in completed]
             n_lake_hits = len(hits)
+        # Chaos kills and hangs workers, so it always runs supervised.
+        supervised = self.jobs > 1 or (
+            self.resilience is not None and self.resilience.injector() is not None
+        )
         if log is not None:
             lake_note = f", {n_lake_hits} from lake" if self.lake is not None else ""
             log.write(
                 f"[campaign] {self.spec.name}: {len(plan)} point(s), "
                 f"{n_resumed} checkpointed{lake_note}, {len(pending)} to compute "
-                f"(jobs={self.jobs}, scheduler={self.scheduler})\n"
+                f"(jobs={self.jobs}{', supervised' if supervised else ''})\n"
             )
         if self.out_dir is not None:
             # Even a zero-compute run (everything resumed or lake-hit)
@@ -1013,64 +907,40 @@ class CampaignEngine:
             self._write_spec_once()
         supervision: dict[str, int] | None = None
         if pending:
-            out_dir_text = str(self.out_dir) if self.out_dir is not None else None
-            lake_text = str(self.lake) if self.lake is not None else None
-            # The spec dict ships once per worker (map's context
-            # initializer), not once per shard task.
-            resilience_dict = (
-                self.resilience.to_dict() if self.resilience is not None else None
-            )
+            # ~4 chunks per worker bounds the tail (the last chunk to
+            # start is at most 1/(4*jobs) of the grid) while the cap of
+            # 32 keeps the per-chunk dispatch overhead invisible on
+            # huge grids.
+            chunk = max(1, min(32, -(-len(pending) // (self.jobs * 4))))
+            tasks = [
+                [(i, keys[i]) for i in part]
+                for part in plan.chunks(chunk, indices=pending)
+            ]
             context = (
                 self.spec.to_dict(),
-                out_dir_text,
-                self.checkpoint_format,
-                lake_text,
-                resilience_dict,
+                str(self.out_dir) if self.out_dir is not None else None,
+                str(self.lake) if self.lake is not None else None,
+                self.resilience.to_dict() if self.resilience is not None else None,
             )
-            if self.scheduler == "supervised":
-                start = time.perf_counter()
-                with self.perf.stage("compute"):
-                    supervision = self._run_supervised(plan, keys, pending, context, completed)
+            start = time.perf_counter()
+            with self.perf.stage("compute"):
+                if supervised:
+                    supervision = self._run_supervised(tasks, context, completed)
+                else:
+                    self._run_in_process(tasks, context, completed)
+            note = ""
+            if supervision is not None:
                 for name, value in supervision.items():
                     self.perf.count(f"supervise_{name}", value)
-                if log is not None:
-                    log.write(
-                        f"[campaign] computed {len(pending)} point(s) in "
-                        f"{time.perf_counter() - start:.1f}s "
-                        f"(dead={supervision['dead']}, hung={supervision['hung']}, "
-                        f"respawned={supervision['respawned']})\n"
-                    )
-            elif self.scheduler == "stealing" and self.jobs > 1:
-                # Many small contiguous chunks on the pool's task
-                # queue; idle workers pull the next chunk as they
-                # finish.  ~4 chunks per worker bounds the tail (the
-                # last chunk to start is at most 1/(4*jobs) of the
-                # grid) while the cap of 32 keeps the per-chunk
-                # dispatch overhead invisible on huge grids.
-                chunk = max(1, min(32, -(-len(pending) // (self.jobs * 4))))
-                parts = plan.chunks(chunk, indices=pending)
-                worker = _run_chunk
-            else:
-                n_shards = min(len(pending), self.jobs) if self.jobs > 1 else 1
-                parts = plan.shards(n_shards, indices=pending)
-                worker = _run_shard
-            if self.scheduler != "supervised":
-                tasks = [[(i, keys[i]) for i in part] for part in parts]
-                runner = ParallelRunner(
-                    jobs=self.jobs,
-                    use_cache=False,
-                    use_trace_store=self.use_trace_store,
-                    trace_store_dir=self.trace_store_dir,
+                note = (
+                    f" (dead={supervision['dead']}, hung={supervision['hung']}, "
+                    f"respawned={supervision['respawned']})"
                 )
-                start = time.perf_counter()
-                with self.perf.stage("compute"):
-                    for part_results in runner.map(worker, tasks, context=context):
-                        completed.update(part_results)
-                if log is not None:
-                    log.write(
-                        f"[campaign] computed {len(pending)} point(s) in "
-                        f"{time.perf_counter() - start:.1f}s\n"
-                    )
+            if log is not None:
+                log.write(
+                    f"[campaign] computed {len(pending)} point(s) in "
+                    f"{time.perf_counter() - start:.1f}s{note}\n"
+                )
         with self.perf.stage("aggregate"):
             table = ResultsTable.from_rows([completed[key] for key in keys])
             if self.out_dir is not None:
@@ -1098,58 +968,85 @@ class CampaignEngine:
             supervision=supervision,
         )
 
+    def _trace_store_root(self) -> str | None:
+        """The shared trace-store directory, or ``None`` when disabled."""
+        if not self.use_trace_store:
+            return None
+        if self.trace_store_dir is not None:
+            return str(self.trace_store_dir)
+        return str(default_trace_store_dir())
+
+    def _run_in_process(
+        self,
+        tasks: list[list[tuple[int, str]]],
+        context: tuple[Any, ...],
+        completed: dict[str, dict[str, Any]],
+    ) -> None:
+        """Run every chunk in this process, in plan order.
+
+        Installs the shared trace store for the duration (restoring the
+        previous default afterwards) and owns the run's one segment
+        writer, which is closed when the run ends — also when a point
+        raises.
+        """
+        _, out_dir_text, lake_text, _ = context
+        store_root = self._trace_store_root()
+        previous_store = get_default_store()
+        if store_root is not None:
+            set_default_store(TraceStore(root=store_root, enabled=True))
+        try:
+            for items in tasks:
+                completed.update(_run_chunk(context, items))
+        finally:
+            _release_chunk_state(out_dir_text, lake_text)
+            if store_root is not None:
+                set_default_store(previous_store)
+
     def _run_supervised(
         self,
-        plan: CampaignPlan,
-        keys: list[str],
-        pending: list[int],
+        tasks: list[list[tuple[int, str]]],
         context: tuple[Any, ...],
         completed: dict[str, dict[str, Any]],
     ) -> dict[str, int]:
-        """Execute the pending points under the supervised executor.
+        """Run every chunk in supervised worker processes.
 
-        Chunking matches the stealing scheduler (so scheduler choice
-        never changes results, only failure behaviour); workers are
-        always real processes — even at ``jobs=1`` — so an injected or
-        organic worker death never takes the parent down with it.
-        Returns the executor's supervision counters.
+        Workers are always real processes — even at ``jobs=1`` under
+        chaos — so an injected or organic worker death never takes the
+        parent down with it.  Heartbeats live in ``<out_dir>/.supervise``,
+        or in a temporary directory removed on return for an in-memory
+        run.  Returns the executor's supervision counters.
         """
-        import functools
-        import tempfile
-
         from ..experiments.runner import _worker_init_trace_store
 
-        chunk = max(1, min(32, -(-len(pending) // (self.jobs * 4))))
-        parts = plan.chunks(chunk, indices=pending)
-        tasks = [[(i, keys[i]) for i in part] for part in parts]
-        if self.out_dir is not None:
-            hearts_dir = self.out_dir / ".supervise"
-        else:
-            hearts_dir = Path(tempfile.mkdtemp(prefix="repro-supervise-"))
-        initializer = None
-        if self.use_trace_store:
-            store_dir = (
-                Path(self.trace_store_dir)
-                if self.trace_store_dir is not None
-                else None
-            )
-            if store_dir is None:
-                from ..trace.io.cache import default_trace_store_dir
-
-                store_dir = default_trace_store_dir()
-            initializer = functools.partial(_worker_init_trace_store, str(store_dir))
-        executor = SupervisedExecutor(
-            jobs=self.jobs,
-            worker_fn=_run_chunk,
-            context=context,
-            hearts_dir=hearts_dir,
-            hang_timeout_s=self.hang_timeout_s,
-            respawn_budget=self.respawn_budget,
-            reclaim=self._reclaim_chunk,
-            initializer=initializer,
+        store_root = self._trace_store_root()
+        initializer = (
+            functools.partial(_worker_init_trace_store, store_root)
+            if store_root is not None
+            else None
         )
-        for payload in executor.run(tasks):
-            completed.update(payload)
+        with ExitStack() as stack:
+            if self.out_dir is not None:
+                hearts_dir = self.out_dir / ".supervise"
+            else:
+                hearts_dir = Path(
+                    stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-supervise-"))
+                )
+            executor = SupervisedExecutor(
+                jobs=self.jobs,
+                worker_fn=_run_chunk,
+                context=context,
+                hearts_dir=hearts_dir,
+                # Without a fault policy a slow point must finish, not
+                # be killed as hung and recomputed.
+                hang_timeout_s=(
+                    self.hang_timeout_s if self.resilience is not None else math.inf
+                ),
+                respawn_budget=self.respawn_budget,
+                reclaim=self._reclaim_chunk,
+                initializer=initializer,
+            )
+            for payload in executor.run(tasks):
+                completed.update(payload)
         return dict(executor.stats)
 
     def _reclaim_chunk(
@@ -1158,7 +1055,7 @@ class CampaignEngine:
         """Salvage a reclaimed lease: checkpointed points stay done.
 
         A dead worker checkpointed every point it finished before dying
-        (both checkpoint formats flush per point), so a rescan of this
+        (every segment line is flushed), so a rescan of this
         chunk's run keys recovers them without recomputation — the
         acceptance bar for supervisor recovery.  Whatever the scan does
         not find is re-queued.

@@ -28,14 +28,14 @@ the resilience substrate threaded through
   raising.  The row is checkpointed like any result, so a poison point
   costs its retries exactly once per campaign directory and never
   sinks the run.
-- **worker supervision** — :class:`SupervisedExecutor` replaces the
-  bare process pool for the ``supervised`` scheduler: every worker
-  process owns a heartbeat file it touches at each point boundary; the
-  supervisor loop in the parent detects dead workers (SIGKILL, OOM
-  kill) and hung workers (stale heartbeat past a deadline), reclaims
-  their leased chunks back onto the queue (salvaging any points the
-  dead worker already checkpointed), and respawns workers up to a
-  budget.
+- **worker supervision** — :class:`SupervisedExecutor` is the
+  engine's process pool whenever a campaign runs with more than one
+  job (or under chaos): every worker process owns a heartbeat file
+  it touches at each point boundary; the supervisor loop in the
+  parent detects dead workers (SIGKILL, OOM kill) and hung workers
+  (stale heartbeat past a deadline), reclaims their leased chunks
+  back onto the queue (salvaging any points the dead worker already
+  checkpointed), and respawns workers up to a budget.
 - **chaos harness** — :class:`ChaosSpec` describes deterministic fault
   injections (``kill@3,hang@5,exc@2,poison@7,corrupt@4`` — kind at
   plan index) that :class:`ChaosInjector` fires from inside the
@@ -52,9 +52,11 @@ monitor.
 from __future__ import annotations
 
 import os
+import pickle
 import queue
 import signal
 import time
+import traceback
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -350,6 +352,30 @@ class _WorkerHandle:
         self.lease: int | None = None  # chunk id currently leased, if any
 
 
+class _RemoteTraceback(Exception):
+    """Carries a worker-side traceback as the ``__cause__`` of a re-raise."""
+
+
+class _WorkerFailure:
+    """A ``worker_fn`` exception shipped back to the supervisor.
+
+    The exception travels as itself when it survives a pickle round
+    trip, else as a :class:`RuntimeError` naming its type and message;
+    the worker's formatted traceback rides along either way.
+    """
+
+    def __init__(self, exc: Exception) -> None:
+        self.traceback = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 - any pickling failure degrades the same way
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        self.exc = exc
+
+    def reraise(self) -> None:
+        raise self.exc from _RemoteTraceback(self.traceback)
+
+
 def _supervised_worker_main(
     worker_id: int,
     heartbeat: Path,
@@ -364,7 +390,10 @@ def _supervised_worker_main(
     Each chunk item runs through ``worker_fn`` individually with a beat
     after every item, so the heartbeat's staleness bounds *point* (not
     chunk) duration and a mid-chunk death loses at most the in-flight
-    point.  A ``None`` lease is the shutdown sentinel.
+    point.  An exception from ``worker_fn`` is not a death: it goes
+    back to the supervisor as a :class:`_WorkerFailure` (which re-raises
+    it) and the worker stays alive.  A ``None`` lease is the shutdown
+    sentinel.
     """
     if initializer is not None:
         initializer()
@@ -376,9 +405,13 @@ def _supervised_worker_main(
         chunk_id, items = message
         write_heartbeat(heartbeat)
         out: list[Any] = []
-        for item in items:
-            out.extend(worker_fn(context, [item]))
-            write_heartbeat(heartbeat)
+        try:
+            for item in items:
+                out.extend(worker_fn(context, [item]))
+                write_heartbeat(heartbeat)
+        except Exception as exc:  # noqa: BLE001 - re-raised by the supervisor
+            result_queue.put((worker_id, chunk_id, _WorkerFailure(exc)))
+            continue
         result_queue.put((worker_id, chunk_id, out))
 
 
@@ -480,11 +513,14 @@ class SupervisedExecutor:
         """Execute every chunk under supervision; yields result payloads.
 
         Output order is completion order (the campaign engine merges by
-        run key, so ordering is immaterial).  Raises
-        :class:`SupervisionError` only when every worker is gone, the
-        respawn budget is spent, and work is still pending — by which
-        point everything completed is already checkpointed by the
-        worker function itself.
+        run key, so ordering is immaterial).  An exception raised by
+        ``worker_fn`` is re-raised here, once, with the worker's
+        traceback as its cause; the item that raised is not retried.
+        Raises :class:`SupervisionError` only when every worker is
+        gone, the respawn budget is spent, and work is still pending —
+        by which point everything completed is already checkpointed by
+        the worker function itself.  Either way the workers are shut
+        down before the exception leaves.
         """
         import multiprocessing
 
@@ -517,6 +553,8 @@ class SupervisedExecutor:
                 except queue.Empty:
                     pass
                 else:
+                    if isinstance(payload, _WorkerFailure):
+                        payload.reraise()
                     worker = workers.get(worker_id)
                     if worker is not None and worker.lease == chunk_id:
                         worker.lease = None
@@ -572,11 +610,18 @@ class SupervisedExecutor:
                         respawns_left -= 1
                         self.stats["respawned"] += 1
                     else:
+                        hint = (
+                            f", or raise the hang timeout ({self.hang_timeout_s:g}s) "
+                            f"if points legitimately run longer"
+                            if self.stats["hung"]
+                            else ""
+                        )
                         raise SupervisionError(
                             f"all workers lost with {len(chunk_items) - len(closed)} "
                             f"chunk(s) unfinished and the respawn budget "
-                            f"({self.respawn_budget}) spent; completed points are "
-                            f"checkpointed — rerun to resume"
+                            f"({self.respawn_budget}) spent (dead={self.stats['dead']}, "
+                            f"hung={self.stats['hung']}); completed points are "
+                            f"checkpointed — rerun to resume{hint}"
                         )
         finally:
             for worker in workers.values():

@@ -104,7 +104,6 @@ def _run_chaos(
         _spec(n_points),
         out_dir=out_dir,
         jobs=jobs,
-        scheduler="supervised",
         resilience=Resilience(
             retry=_RETRY,
             point_timeout_s=point_timeout_s,

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+import repro.campaign.engine as engine_mod
 import repro.workloads.generator as generator_mod
 from repro.campaign import (
     CampaignEngine,
@@ -22,6 +24,8 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as cli_main
 from repro.experiments.nodes import calibration_disk, new_node, old_node
+
+from legacy_checkpoints import segments_to_legacy
 
 
 # ----------------------------------------------------------------------
@@ -183,11 +187,11 @@ class TestPlan:
         monkeypatch.setattr(generator_mod, "INTENT_STREAM_VERSION", version + 1)
         assert not set(expand(_grid_spec()).keys()) & set(keys)
 
-    def test_shards_cover_all_points(self):
+    def test_chunks_cover_all_points(self):
         plan = expand(_grid_spec())
-        shards = plan.shards(3)
-        flat = sorted(i for shard in shards for i in shard)
-        assert flat == list(range(len(plan)))
+        chunks = plan.chunks(3)
+        assert [i for chunk in chunks for i in chunk] == list(range(len(plan)))
+        assert all(1 <= len(chunk) <= 3 for chunk in chunks)
 
     def test_empty_expansion_rejected(self):
         with pytest.raises(ValueError, match="zero grid points"):
@@ -252,6 +256,18 @@ def _tiny_spec() -> CampaignSpec:
     )
 
 
+def _six_point_spec(name: str) -> CampaignSpec:
+    return CampaignSpec(
+        name=name,
+        action="synthetic",
+        workloads=("MSNFS",),
+        devices=(DeviceSpec("new", "new-node"),),
+        methods=("revision",),
+        n_requests=tuple(range(100, 106)),
+        options={"iters_per_request": 3},
+    )
+
+
 class TestEngine:
     def test_in_process_run(self):
         table = run_campaign(_tiny_spec())
@@ -273,10 +289,11 @@ class TestEngine:
     def test_corrupt_checkpoint_recomputed(self, tmp_path: Path):
         out = tmp_path / "camp"
         spec = _tiny_spec()
-        CampaignEngine(spec, out_dir=out, checkpoint_format="json").run()
-        key = expand(spec).keys()[0]
+        CampaignEngine(spec, out_dir=out).run()
+        (key,) = segments_to_legacy(out)
+        assert key == expand(spec).keys()[0]
         (out / "runs" / f"{key}.json").write_text("{not json")
-        result = CampaignEngine(spec, out_dir=out, checkpoint_format="json").run()
+        result = CampaignEngine(spec, out_dir=out).run()
         assert result.n_computed == 1
 
     def test_torn_segment_line_recomputed(self, tmp_path: Path):
@@ -318,6 +335,70 @@ class TestEngine:
         inline = CampaignEngine(spec, out_dir=tmp_path / "a", jobs=1).run()
         sharded = CampaignEngine(spec, out_dir=tmp_path / "b", jobs=3).run()
         assert inline.table == sharded.table
+
+    def test_in_memory_supervised_run_leaves_no_temp_dir(self, tmp_path: Path, monkeypatch):
+        """An in-memory multi-process run beats its heartbeats into a
+        temporary directory that is gone once the run returns."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = CampaignEngine(_six_point_spec("no-leak"), jobs=2).run()
+        assert result.supervision is not None and result.n_computed == 6
+        assert list(tmp_path.iterdir()) == []
+
+    def test_supervised_point_error_raises_once(self, tmp_path: Path, monkeypatch):
+        """Without a fault policy a worker's point error fails the run
+        with its own type, and the point is not re-run on a respawn."""
+        calls = tmp_path / "calls"
+        real = engine_mod.run_point
+
+        def failing(spec, point):
+            if point.n_requests == 103:
+                with open(calls, "a") as handle:
+                    handle.write("x\n")
+                raise ValueError("bad point 103")
+            return real(spec, point)
+
+        monkeypatch.setattr(engine_mod, "run_point", failing)
+        with pytest.raises(ValueError, match="bad point 103") as excinfo:
+            CampaignEngine(_six_point_spec("raises"), out_dir=tmp_path / "out", jobs=2).run()
+        assert calls.read_text().count("x") == 1
+        assert "failing" in str(excinfo.value.__cause__)  # the worker traceback
+
+    def test_supervised_unpicklable_error_still_raises(self, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a}/{b}")
+
+        def failing(spec, point):
+            raise TwoArgError("left", "right")
+
+        monkeypatch.setattr(engine_mod, "run_point", failing)
+        with pytest.raises(RuntimeError, match="TwoArgError: left/right"):
+            CampaignEngine(_six_point_spec("unpicklable"), jobs=2).run()
+
+    def test_slow_point_without_policy_is_not_declared_hung(
+        self, tmp_path: Path, monkeypatch
+    ):
+        """The heartbeat deadline belongs to the fault policy: with
+        ``resilience=None`` a point slower than it finishes, once."""
+        calls = tmp_path / "calls"
+        real = engine_mod.run_point
+
+        def slow(spec, point):
+            if point.n_requests == 102:
+                with open(calls, "a") as handle:
+                    handle.write("x\n")
+                time.sleep(1.0)
+            return real(spec, point)
+
+        monkeypatch.setattr(engine_mod, "run_point", slow)
+        spec = _six_point_spec("slow")
+        result = CampaignEngine(spec, jobs=2, hang_timeout_s=0.2).run()
+        assert result.n_computed == 6
+        assert result.supervision["hung"] == 0 and result.supervision["dead"] == 0
+        assert calls.read_text().count("x") == 1
+        assert result.table == CampaignEngine(spec).run().table
 
 
 class TestCli:
@@ -385,10 +466,11 @@ class TestCliResilience:
         out = tmp_path / "out"
         assert cli_main(
             ["run", str(spec_path), "--out-dir", str(out), "--no-trace-store",
-             "--quiet", "--jobs", "2", "--chaos", "exc@1", "--retries", "3"]
+             "--jobs", "2", "--chaos", "exc@1", "--retries", "3"]
         ) == 0
         captured = capsys.readouterr()
-        assert "[campaign] --chaos forces --scheduler supervised" in captured.err
+        # The supervision summary only prints on the supervised path.
+        assert "(dead=0, hung=0, respawned=0)" in captured.err
         assert "3 point(s) (0 resumed, 3 computed)" in captured.out
         assert "quarantined" not in captured.out  # exc is transient: retried
 

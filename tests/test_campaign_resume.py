@@ -17,6 +17,8 @@ import repro.workloads.generator as generator_mod
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
 from repro.campaign.engine import _scan_checkpoints
 
+from legacy_checkpoints import segments_to_legacy
+
 
 def _spec() -> CampaignSpec:
     return CampaignSpec(
@@ -64,26 +66,29 @@ def counted_run_point(monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["segments", "json"])
 def test_interrupt_then_resume_is_identical(tmp_path: Path, counted_run_point, fmt: str):
+    """``fmt="json"`` resumes from the legacy one-file-per-point layout."""
     spec = _spec()
     n_points = len(expand(spec))
     assert n_points == 6
 
     # Ground truth: one uninterrupted run.
-    clean = CampaignEngine(spec, out_dir=tmp_path / "clean", checkpoint_format=fmt).run()
+    clean = CampaignEngine(spec, out_dir=tmp_path / "clean").run()
 
     # Interrupted run: the engine dies after 2 completed points...
     out = tmp_path / "killed"
     killer = counted_run_point(kill_after=2)
     with pytest.raises(KeyboardInterrupt):
-        CampaignEngine(spec, out_dir=out, checkpoint_format=fmt).run()
+        CampaignEngine(spec, out_dir=out).run()
     assert killer.calls == 2
+    if fmt == "json":
+        assert len(segments_to_legacy(out)) == 2
     # ...but both completed points are on disk (segment lines or files).
     assert len(_scan_checkpoints(out, expand(spec).keys())) == 2
     assert not (out / "results.npz").exists()  # no aggregate yet
 
     # ...and the restart computes exactly the missing keys, none twice.
     counter = counted_run_point()
-    resumed = CampaignEngine(spec, out_dir=out, checkpoint_format=fmt).run()
+    resumed = CampaignEngine(spec, out_dir=out).run()
     assert counter.calls == n_points - 2
     assert resumed.n_resumed == 2 and resumed.n_computed == n_points - 2
 
@@ -92,7 +97,7 @@ def test_interrupt_then_resume_is_identical(tmp_path: Path, counted_run_point, f
 
     # A third run touches nothing at all.
     counter2 = counted_run_point()
-    again = CampaignEngine(spec, out_dir=out, checkpoint_format=fmt).run()
+    again = CampaignEngine(spec, out_dir=out).run()
     assert counter2.calls == 0
     assert again.n_resumed == n_points and again.table == clean.table
 
@@ -183,11 +188,11 @@ def _synthetic_spec(sizes: tuple[int, ...]) -> CampaignSpec:
 
 
 class TestWorkStealingResume:
-    """Stealing-scheduler checkpoints obey the same resume contract.
+    """Chunk-queue checkpoints obey the same resume contract.
 
     The chunk queue changes *which worker* computes a point, never the
     point's run key or checkpoint payload, so a campaign killed
-    mid-steal must resume under either scheduler with zero
+    mid-steal must resume in-process or supervised with zero
     recomputation and a table identical to an uninterrupted run's.
     """
 
@@ -206,7 +211,7 @@ class TestWorkStealingResume:
         # finishes... and the process dies before the queue drains.
         out = tmp_path / "killed"
         out.mkdir()
-        context = (spec.to_dict(), str(out), "segments")
+        context = (spec.to_dict(), str(out), None, None)
         chunks = plan.chunks(4)
         done: set[int] = set()
         try:
@@ -222,43 +227,49 @@ class TestWorkStealingResume:
             _CHUNK_SEGMENTS.clear()
         assert len(_scan_checkpoints(out, keys)) == len(done) == 12
 
-        resumed = CampaignEngine(
-            spec, out_dir=out, jobs=2, scheduler="stealing"
-        ).run()
+        resumed = CampaignEngine(spec, out_dir=out, jobs=2).run()
         assert resumed.n_resumed == len(done)
         assert resumed.n_computed == len(plan) - len(done)
         assert resumed.table == clean.table
 
-    @pytest.mark.parametrize(
-        "first,second", [("stealing", "static"), ("static", "stealing")]
-    )
-    def test_cross_scheduler_resume(
-        self, tmp_path: Path, counted_run_point, first: str, second: str
-    ):
-        """Checkpoints written under one scheduler resume under the
-        other: run keys are scheduler-agnostic."""
+    def test_in_process_then_supervised_resume(self, tmp_path: Path, counted_run_point):
+        """An in-process run killed mid-grid resumes supervised
+        (``jobs=2``).  The per-process call counter cannot cross the
+        fork, so the resumed side is counted by ``n_computed``."""
         spec = _synthetic_spec(tuple(range(100, 112)))
         n_points = len(expand(spec))
         out = tmp_path / "camp"
         killer = counted_run_point(kill_after=5)
         with pytest.raises(KeyboardInterrupt):
-            CampaignEngine(spec, out_dir=out, scheduler=first).run()
+            CampaignEngine(spec, out_dir=out).run()
         assert killer.calls == 5
 
+        counted_run_point()  # disarm the killer the workers would inherit
+        resumed = CampaignEngine(spec, out_dir=out, jobs=2).run()
+        assert resumed.n_resumed == 5 and resumed.n_computed == n_points - 5
+        assert resumed.supervision is not None
+
+    def test_supervised_then_in_process_resume(self, tmp_path: Path, counted_run_point):
+        """Checkpoints a supervised run left behind resume in-process
+        with zero recomputation: run keys do not know how points were
+        dispatched."""
+        spec = _synthetic_spec(tuple(range(100, 112)))
+        n_points = len(expand(spec))
+        out = tmp_path / "camp"
+        partial = _synthetic_spec(tuple(range(100, 105)))
+        CampaignEngine(partial, out_dir=out, jobs=2).run()
+
         counter = counted_run_point()
-        resumed = CampaignEngine(spec, out_dir=out, scheduler=second).run()
+        resumed = CampaignEngine(spec, out_dir=out).run()
         assert counter.calls == n_points - 5
         assert resumed.n_resumed == 5 and resumed.n_computed == n_points - 5
 
-    def test_schedulers_produce_identical_tables(self, tmp_path: Path):
+    def test_in_process_and_supervised_produce_identical_tables(self, tmp_path: Path):
         spec = _synthetic_spec(tuple(range(200, 215)))
-        static = CampaignEngine(
-            spec, out_dir=tmp_path / "static", jobs=2, scheduler="static"
-        ).run()
-        stealing = CampaignEngine(
-            spec, out_dir=tmp_path / "steal", jobs=2, scheduler="stealing"
-        ).run()
-        assert static.table == stealing.table
+        in_process = CampaignEngine(spec, out_dir=tmp_path / "inline", jobs=1).run()
+        supervised = CampaignEngine(spec, out_dir=tmp_path / "supervised", jobs=2).run()
+        assert in_process.supervision is None and supervised.supervision is not None
+        assert in_process.table == supervised.table
 
 
 def test_grown_grid_resumes_shared_points(tmp_path: Path, counted_run_point):

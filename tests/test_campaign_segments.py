@@ -1,11 +1,12 @@
-"""Segment checkpoint format: append-only semantics, mixing, scanning.
+"""Segment checkpoints: append-only semantics, legacy mixing, scanning.
 
 The resume *contract* (kill → restart → zero recomputation → identical
-table) is asserted for both formats in ``test_campaign_resume.py``;
-this file pins the segment mechanics: files are append-only across
-runs, torn lines are tolerated, the two formats mix freely, the resume
-scan needs exactly one directory listing, and ``spec.json`` is not
-rewritten when nothing changed.
+table) is asserted for segments and for legacy per-point JSON files in
+``test_campaign_resume.py``; this file pins the segment mechanics:
+files are append-only across runs, sequential runs never share a
+segment, torn lines are tolerated, legacy files mix freely with
+segments, the resume scan needs exactly one directory listing, and
+``spec.json`` is not rewritten when nothing changed.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
-from repro.campaign.engine import (
-    _scan_checkpoints,
-    _SegmentWriter,
-    _write_checkpoint,
-)
-from repro.experiments.runner import ParallelRunner
+from repro.campaign.engine import _CHUNK_SEGMENTS, _scan_checkpoints, _SegmentWriter
+
+from legacy_checkpoints import segments_to_legacy, write_legacy_checkpoint
 
 
 def _spec(workloads=("MSNFS", "ikki")) -> CampaignSpec:
@@ -67,7 +65,7 @@ class TestSegmentWriter:
         writer.append("other-campaign", {"a": 9})
         writer.close()
         (tmp_path / "runs" / "notes.txt").write_text("not a checkpoint")
-        _write_checkpoint(tmp_path, "filed", {"b": 2})
+        write_legacy_checkpoint(tmp_path, "filed", {"b": 2})
         rows = _scan_checkpoints(tmp_path, ["wanted", "filed", "missing"])
         assert rows == {"wanted": {"a": 1}, "filed": {"b": 2}}
 
@@ -92,7 +90,7 @@ class TestSegmentWriter:
         os.utime(new_seg, ns=(2_000, 2_000))
         assert _scan_checkpoints(tmp_path, ["k"]) == {"k": {"v": "fresh"}}
         # A newer per-point JSON beats every older segment line...
-        _write_checkpoint(tmp_path, "k", {"v": "json"})
+        write_legacy_checkpoint(tmp_path, "k", {"v": "json"})
         os.utime(tmp_path / "runs" / "k.json", ns=(3_000, 3_000))
         assert _scan_checkpoints(tmp_path, ["k"]) == {"k": {"v": "json"}}
         # ...and an older one does not.
@@ -122,19 +120,17 @@ class TestEngineSegmentSemantics:
             assert after[name] == content
 
     def test_formats_mix_across_runs(self, tmp_path: Path):
-        """Points checkpointed as JSON files resume under segments and
-        vice versa — one campaign directory, both formats."""
+        """Points checkpointed as legacy JSON files resume next to
+        segment lines — one campaign directory, both layouts."""
         out = tmp_path / "camp"
-        json_run = CampaignEngine(
-            _spec(("MSNFS",)), out_dir=out, checkpoint_format="json"
-        ).run()
+        json_run = CampaignEngine(_spec(("MSNFS",)), out_dir=out).run()
+        assert len(segments_to_legacy(out)) == 1
         grown = CampaignEngine(_spec(("MSNFS", "ikki")), out_dir=out).run()
         assert json_run.n_computed == 1
         assert grown.n_resumed == 1 and grown.n_computed == 1
-        again = CampaignEngine(
-            _spec(("MSNFS", "ikki")), out_dir=out, checkpoint_format="json"
-        ).run()
+        again = CampaignEngine(_spec(("MSNFS", "ikki")), out_dir=out).run()
         assert again.n_resumed == 2 and again.n_computed == 0
+        assert again.table == grown.table
 
     def test_spec_json_not_rewritten_when_unchanged(self, tmp_path: Path):
         out = tmp_path / "camp"
@@ -151,34 +147,37 @@ class TestEngineSegmentSemantics:
         ]
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="checkpoint format"):
+        """Segments are the only write format: there is no selector."""
+        with pytest.raises(TypeError, match="checkpoint_format"):
             CampaignEngine(_spec(), checkpoint_format="parquet")
+        with pytest.raises(TypeError, match="scheduler"):
+            CampaignEngine(_spec(), scheduler="static")
+
+    def test_sequential_in_process_runs_never_share_a_segment(self, tmp_path: Path):
+        """Each in-process run owns one segment writer and closes it:
+        a rerun claims a fresh file instead of appending to the last."""
+        out = tmp_path / "camp"
+        spec = _spec()
+        first = CampaignEngine(spec, out_dir=out, resume=False).run()
+        assert not _CHUNK_SEGMENTS
+        second = CampaignEngine(spec, out_dir=out, resume=False).run()
+        assert not _CHUNK_SEGMENTS
+        segments = sorted((out / "runs").glob("segment-*.jsonl"))
+        assert len(segments) == 2
+        for segment in segments:
+            assert len(segment.read_text(encoding="utf-8").splitlines()) == len(first.plan)
+        assert first.table == second.table
 
     def test_jobs_segments_match_inline_json(self, tmp_path: Path):
         spec = _spec(("MSNFS", "ikki", "CFS"))
-        inline = CampaignEngine(
-            spec, out_dir=tmp_path / "a", jobs=1, checkpoint_format="json"
-        ).run()
+        inline = CampaignEngine(spec, out_dir=tmp_path / "a", jobs=1).run()
         sharded = CampaignEngine(spec, out_dir=tmp_path / "b", jobs=3).run()
         assert inline.table == sharded.table
         # every point checkpointed exactly once, across worker segments
         keys = expand(spec).keys()
         assert set(_scan_checkpoints(tmp_path / "b", keys)) == set(keys)
-
-
-def _ctx_task(context, task):
-    return (context, task, os.getpid())
-
-
-class TestMapContext:
-    def test_inline_context_passed_per_task(self):
-        runner = ParallelRunner(jobs=1)
-        out = runner.map(_ctx_task, [1, 2, 3], context={"spec": "x"})
-        assert [(c, t) for c, t, _ in out] == [({"spec": "x"}, 1), ({"spec": "x"}, 2), ({"spec": "x"}, 3)]
-
-    def test_pool_context_installed_once_per_worker(self):
-        runner = ParallelRunner(jobs=2)
-        out = runner.map(_ctx_task, list(range(6)), context=("payload",))
-        assert [t for _, t, _ in out] == list(range(6))
-        assert all(c == ("payload",) for c, _, _ in out)
-        assert all(pid != os.getpid() for _, _, pid in out)  # ran in workers
+        # the inline run's rows read back identically from legacy files
+        assert sorted(segments_to_legacy(tmp_path / "a")) == sorted(keys)
+        assert _scan_checkpoints(tmp_path / "a", keys) == _scan_checkpoints(
+            tmp_path / "b", keys
+        )

@@ -16,6 +16,8 @@ from pathlib import Path
 from repro.campaign import CampaignEngine, CampaignSpec, DeviceSpec, expand
 from repro.campaign.engine import _scan_checkpoints
 
+from legacy_checkpoints import segments_to_legacy
+
 
 def _spec(n_points: int = 4) -> CampaignSpec:
     return CampaignSpec(
@@ -30,9 +32,12 @@ def _spec(n_points: int = 4) -> CampaignSpec:
 
 
 def _complete_json_campaign(out_dir: Path) -> list[str]:
-    """Run a campaign in per-point JSON format; returns its run keys."""
-    CampaignEngine(_spec(), out_dir=out_dir, checkpoint_format="json").run()
-    return expand(_spec()).keys()
+    """Leave a finished campaign as legacy per-point JSON files; returns
+    its run keys."""
+    CampaignEngine(_spec(), out_dir=out_dir).run()
+    keys = expand(_spec()).keys()
+    assert sorted(segments_to_legacy(out_dir)) == sorted(keys)
+    return keys
 
 
 class TestCorruptJsonCheckpoint:
@@ -59,14 +64,12 @@ class TestCorruptJsonCheckpoint:
         assert (out / "runs" / f"{keys[2]}.json.bad").exists()
 
     def test_resume_recomputes_only_the_quarantined_point(self, tmp_path: Path):
-        clean = CampaignEngine(
-            _spec(), out_dir=tmp_path / "clean", checkpoint_format="json"
-        ).run()
+        clean = CampaignEngine(_spec(), out_dir=tmp_path / "clean").run()
         out = tmp_path / "camp"
         keys = _complete_json_campaign(out)
         (out / "runs" / f"{keys[0]}.json").write_text("{ torn", encoding="utf-8")
 
-        resumed = CampaignEngine(_spec(), out_dir=out, checkpoint_format="json").run()
+        resumed = CampaignEngine(_spec(), out_dir=out).run()
         assert resumed.n_computed == 1 and resumed.n_resumed == len(keys) - 1
         assert resumed.table == clean.table
         assert resumed.n_degraded >= 1
@@ -77,7 +80,7 @@ class TestCorruptJsonCheckpoint:
 class TestCorruptSegment:
     def test_all_garbage_segment_quarantined_whole(self, tmp_path: Path):
         out = tmp_path / "camp"
-        CampaignEngine(_spec(), out_dir=out).run()  # segments format
+        CampaignEngine(_spec(), out_dir=out).run()
         keys = expand(_spec()).keys()
         segments = sorted((out / "runs").glob("segment-*.jsonl"))
         assert segments

@@ -612,7 +612,7 @@ class TestConcurrency:
             use_trace_store=False, lake=serial_db,
         ).run()
         CampaignEngine(
-            spec, out_dir=tmp_path / "parallel", jobs=2, scheduler="stealing",
+            spec, out_dir=tmp_path / "parallel", jobs=2,
             use_trace_store=False, lake=parallel_db,
         ).run()
         with LakeCatalog(serial_db) as a, LakeCatalog(parallel_db) as b:
