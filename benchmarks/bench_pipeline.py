@@ -11,7 +11,8 @@ and campaigns run:
 - **engine stages** — hot paths that keep a scalar oracle around are
   timed under *both* engines and reported as before/after speedups:
   queue-depth replay (scalar loop vs plan/FIFO-window engine, on the
-  flash array and on the HDD), the device-model kernels (scalar
+  flash array and on the HDD), synchronous replay on the flash array
+  (scalar ``replay_with_idle`` vs the plan loop), the device-model kernels (scalar
   per-page occupancy walks vs the columnar wave kernel, and the
   per-request ``_service_batch`` loops vs the grouped unique-shape
   kernels, on the flash device and the array), the fig9 interpolation
@@ -64,7 +65,12 @@ from repro.inference.decompose import estimate_model
 from repro.inference.grouping import group_intervals
 from repro.metrics.comparison import intt_gap_stats
 from repro.perf import PerfRecorder
-from repro.replay import replay_queue_depth, replay_queue_depth_scalar
+from repro.replay import (
+    replay_queue_depth,
+    replay_queue_depth_scalar,
+    replay_with_idle,
+    replay_with_idle_batch,
+)
 from repro.workloads.catalog import get_spec
 from repro.workloads.generator import collect_trace, generate_intents
 
@@ -174,6 +180,28 @@ def bench_qdepth(n_requests: int, device_factory, label: str) -> dict[str, float
         before = min(before, time.perf_counter() - start)
         start = time.perf_counter()
         replay_queue_depth(pair.old, device_factory(), idle_us=idle, queue_depth=8)
+        after = min(after, time.perf_counter() - start)
+    return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
+
+
+def bench_sync_replay(n_requests: int, device_factory) -> dict[str, float]:
+    """Scalar synchronous replay vs the production engine on one device.
+
+    A mixed read/write MSNFS stream: buffered writes keep the flash
+    array off the ``service_batch`` vector path, so the production
+    side runs the plan loop with the synchronous clock rule.  Same
+    interleaved-pair protocol as :func:`bench_qdepth`.
+    """
+    pair = build_pair_for("MSNFS", n_requests=n_requests)
+    idle = np.full(len(pair.old) - 1, 250.0)
+    before = float("inf")
+    after = float("inf")
+    for _ in range(_REPS + 1):
+        start = time.perf_counter()
+        replay_with_idle(pair.old, device_factory(), idle_us=idle)
+        before = min(before, time.perf_counter() - start)
+        start = time.perf_counter()
+        replay_with_idle_batch(pair.old, device_factory(), idle_us=idle)
         after = min(after, time.perf_counter() - start)
     return {"before_s": before, "after_s": after, "speedup": round(before / after, 2)}
 
@@ -448,7 +476,7 @@ def run_benchmarks(n_requests: int) -> dict:
         # (service_batch + FIFO window) engine on the OLD node; the
         # flash array cannot take that path at depth > 1 (its latencies
         # are state-dependent under overlap), so its stage tracks the
-        # plan-based event engine, whose win is bounded by the
+        # plan loop, whose win is bounded by the
         # irreducible per-fragment state bookkeeping the scalar oracle
         # shares (see docs/architecture.md, "Device-model kernels").
         "qdepth_replay": bench_qdepth(n_requests, old_node, "hdd"),
@@ -457,6 +485,7 @@ def run_benchmarks(n_requests: int) -> dict:
         "qdepth_replay_degraded_raid": bench_qdepth(
             n_requests, _degraded_raid_node, "degraded-raid"
         ),
+        "sync_replay_flash_array": bench_sync_replay(n_requests, new_node),
         "flash_read_pages": bench_flash_read_pages(),
         "flash_service_batch": bench_flash_service_batch(),
         "array_service_batch": bench_array_service_batch(),

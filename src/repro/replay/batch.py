@@ -21,13 +21,14 @@ per-request Python overhead.  Two regimes:
    ``np.cumsum`` performs the same left-to-right chain of IEEE-754
    additions, so the stamps are *bit-identical* to the scalar loop's.
 
-2. **Fast fallback** — devices whose latencies depend on real
+2. **Drive fallback** — devices whose latencies depend on real
    submission instants (e.g. a flash array with a write-back buffer
    draining in the background) return ``None`` from ``service_batch``.
-   The engine then drives ``device._service`` directly through a tight
-   loop that performs the same arithmetic as ``StorageDevice.submit``
-   with the validation hoisted out and the trace assembled from columns
-   instead of per-row appends.
+   The stream then goes through :func:`repro.storage.drive.drive` with
+   the synchronous clock rule (``gaps = [0, idle...]``, every request
+   synchronous, no window): the plan loop on devices that build a
+   replay plan (flash, flash arrays), else one ``device._service``
+   call per request with the validation and conversions hoisted out.
 
 Either way the produced :class:`~repro.replay.replayer.ReplayResult`
 matches the scalar engine's stamps exactly; the property suite
@@ -39,25 +40,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..storage.device import StorageDevice
-from ..trace.record import OpType
+from ..storage.drive import drive
 from ..trace.trace import BlockTrace
-from .replayer import ReplayResult
+from .replayer import ReplayResult, validated_idle
 
 __all__ = ["replay_with_idle_batch", "replay_back_to_back_batch"]
-
-
-def _normalized_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
-    """Validate and pad the idle array to length ``n`` (trailing zero)."""
-    if idle_us is None:
-        return np.zeros(n, dtype=np.float64)
-    idle_arr = np.asarray(idle_us, dtype=np.float64)
-    if len(idle_arr) not in (n - 1, n):
-        raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
-    if np.any(idle_arr < 0):
-        raise ValueError("idle periods must be non-negative")
-    padded = np.zeros(n, dtype=np.float64)
-    padded[: n - 1] = idle_arr[: n - 1]
-    return padded
 
 
 def _replay_metadata(old_trace: BlockTrace, device: StorageDevice, method: str) -> dict:
@@ -78,7 +65,7 @@ def replay_with_idle_batch(
     n = len(old_trace)
     if n == 0:
         raise ValueError("cannot replay an empty trace")
-    idle = _normalized_idle(n, idle_us)
+    idle = validated_idle(n, idle_us)
     if np.any(old_trace.lbas < 0):
         raise ValueError("lba must be non-negative")
     device.reset()
@@ -91,7 +78,8 @@ def replay_with_idle_batch(
         increments = np.empty(3 * n, dtype=np.float64)
         increments[0::3] = t_cdel
         increments[1::3] = svc
-        increments[2::3] = idle
+        increments[2:-1:3] = idle
+        increments[-1] = 0.0
         cum = np.cumsum(increments)
         acks = cum[0::3]
         finishes = cum[1::3]
@@ -100,7 +88,10 @@ def replay_with_idle_batch(
         submits[1:] = cum[2::3][:-1]
         starts = acks
     else:
-        submits, acks, starts, finishes = _replay_scalar_fast(old_trace, device, idle)
+        gaps = np.concatenate(([0.0], idle))
+        submits, acks, starts, finishes = drive(
+            device, old_trace.ops, old_trace.lbas, old_trace.sizes, gaps, np.ones(n, dtype=bool)
+        )
     trace = BlockTrace(
         timestamps=submits,
         lbas=old_trace.lbas,
@@ -119,40 +110,6 @@ def replay_with_idle_batch(
         starts=starts,
         finishes=finishes,
     )
-
-
-def _replay_scalar_fast(
-    old_trace: BlockTrace, device: StorageDevice, idle: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tight scalar loop for gap-sensitive devices.
-
-    Performs the exact per-request arithmetic of ``device.submit`` —
-    channel delay, then ``_service`` — with conversions hoisted out of
-    the loop.  The device has already been reset and the columns
-    validated by the caller.
-    """
-    n = len(old_trace)
-    ops = [OpType.READ if op == 0 else OpType.WRITE for op in old_trace.ops.tolist()]
-    lbas = old_trace.lbas.tolist()
-    sizes = old_trace.sizes.tolist()
-    idle_list = idle.tolist()
-    t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes).tolist()
-    service = device._service
-    submits = np.empty(n, dtype=np.float64)
-    acks = np.empty(n, dtype=np.float64)
-    starts = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    clock = 0.0
-    for i in range(n):
-        op = ops[i]
-        ack = clock + t_cdel[i]
-        start, finish = service(op, lbas[i], sizes[i], ack)
-        submits[i] = clock
-        acks[i] = ack
-        starts[i] = start
-        finishes[i] = finish
-        clock = finish + idle_list[i]
-    return submits, acks, starts, finishes
 
 
 def replay_back_to_back_batch(

@@ -23,20 +23,14 @@ Two engines produce identical results:
   arithmetic over precomputed channel-delay and service columns: the
   in-flight set of a FIFO device is always the trailing ``qd``
   requests, so "wait for the oldest outstanding completion" is one
-  comparison against ``finishes[i - qd]``.  Devices with internal
-  parallelism take the *plan* engine when they provide one
-  (``device.replay_plan``, flash and flash arrays): fragment fan-out
-  and memoised relative-service entries are resolved for the whole
-  stream up front by the columnar device kernels, and the event loop
-  runs each member's fast paths inline — no per-request key
-  construction, memo lookups, or method dispatch, and busy-state page
-  walks run from the shape's prefetched occupancy walk.  Everything
-  else falls back to a heap-based discrete-event loop that drives
-  ``device._service`` directly with the per-request conversions
-  hoisted out.  Both event engines keep the in-flight window in a
-  binary heap with expiry batched per completion wave: expired
-  completions are only swept when the window *looks* full, so a
-  replay that never saturates the window pays one length check per
+  comparison against ``finishes[i - qd]``.  Every other device goes
+  through :func:`repro.storage.drive.drive` with the queue-depth clock
+  rule (``gaps = [0, idle...]``, every request asynchronous, a window
+  of ``queue_depth``) — the plan loop on devices that build a replay
+  plan (flash, flash arrays), the per-request ``device._service`` loop
+  elsewhere.  Both keep the in-flight window in a binary heap whose
+  expired completions are swept only when the window *looks* full, so
+  a replay that never saturates the window pays one length check per
   request instead of a pop scan.
 
 Used by tests and available to studies that want target-load
@@ -46,30 +40,16 @@ is allowed genuine overlap).
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from ..storage.device import StorageDevice
-from ..storage.flash import _entry_commit, _entry_idle_sparse
+from ..storage.drive import drive
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
 from .collector import TraceCollector
-from .replayer import ReplayResult
+from .replayer import ReplayResult, validated_idle
 
 __all__ = ["replay_queue_depth", "replay_queue_depth_scalar"]
-
-
-def _validated_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
-    """Shared argument validation for both engines (length ``n - 1``)."""
-    if idle_us is not None:
-        idle_arr = np.asarray(idle_us, dtype=np.float64)
-        if len(idle_arr) not in (n - 1, n):
-            raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
-        if np.any(idle_arr < 0):
-            raise ValueError("idle periods must be non-negative")
-        return idle_arr
-    return np.zeros(max(0, n - 1), dtype=np.float64)
 
 
 def _qdepth_metadata(old_trace: BlockTrace, device: StorageDevice, method: str, qd: int) -> dict:
@@ -115,11 +95,12 @@ def replay_queue_depth(
     runs the precomputed-service window recurrence where it applies
     (``queue_depth == 1`` or a single-FIFO-server device), else the
     plan loop on devices that build a replay plan (flash, flash
-    arrays), else the heap event loop.  ``"plan"`` and ``"events"``
-    force one of the two event engines (used by the differential
-    identity suite and the benchmarks — every engine produces the same
-    stamps); devices without a plan run the heap event loop under
-    ``"plan"`` too.
+    arrays), else the per-request ``_service`` loop (both in
+    :func:`repro.storage.drive.drive`).  ``"plan"`` and ``"events"``
+    force one of those two loops (used by the differential identity
+    suite and the benchmarks — every engine produces the same stamps);
+    devices without a plan run the ``_service`` loop under ``"plan"``
+    too.
 
     Returns the same :class:`ReplayResult` shape as the synchronous
     replayer.
@@ -131,7 +112,7 @@ def replay_queue_depth(
         raise ValueError("cannot replay an empty trace")
     if queue_depth < 1:
         raise ValueError("queue depth must be at least 1")
-    idle_arr = _validated_idle(n, idle_us)
+    idle_arr = validated_idle(n, idle_us)
     if np.any(old_trace.lbas < 0):
         raise ValueError("lba must be non-negative")
     device.reset()
@@ -144,26 +125,17 @@ def replay_queue_depth(
     svc = None
     if engine == "auto" and (queue_depth == 1 or device.fifo_single_server):
         svc = device.service_batch(old_trace.ops, old_trace.lbas, old_trace.sizes)
-    metadata = _qdepth_metadata(old_trace, device, method, queue_depth)
-    t_cdel = device.channel.delay_batch_us(old_trace.ops, old_trace.sizes)
-    if svc is not None:
-        submits, acks, starts, finishes = _qdepth_fifo_fast(
-            t_cdel, svc, idle_arr, queue_depth
-        )
-    elif engine == "events":
-        submits, acks, starts, finishes = _qdepth_events(
-            old_trace, device, t_cdel, idle_arr, queue_depth
-        )
-    else:
-        plan = device.replay_plan(old_trace.ops, old_trace.lbas, old_trace.sizes)
-        if plan is None:
-            submits, acks, starts, finishes = _qdepth_events(
-                old_trace, device, t_cdel, idle_arr, queue_depth
-            )
-        else:
-            submits, acks, starts, finishes = _qdepth_plan_events(
-                device, plan, t_cdel, idle_arr, queue_depth
-            )
+    submits, acks, starts, finishes = drive(
+        device,
+        old_trace.ops,
+        old_trace.lbas,
+        old_trace.sizes,
+        np.concatenate(([0.0], idle_arr)),
+        np.zeros(n, dtype=bool),
+        queue_depth=queue_depth,
+        use_plan=engine != "events",
+        priced=svc,
+    )
     trace = BlockTrace(
         timestamps=submits,
         lbas=old_trace.lbas,
@@ -172,7 +144,7 @@ def replay_queue_depth(
         issues=submits.copy(),  # driver-level stamp, as the collector records
         completes=finishes,
         name=old_trace.name,
-        metadata=metadata,
+        metadata=_qdepth_metadata(old_trace, device, method, queue_depth),
     )
     return ReplayResult(
         trace=trace,
@@ -182,247 +154,6 @@ def replay_queue_depth(
         starts=starts,
         finishes=finishes,
     )
-
-
-def _qdepth_fifo_fast(
-    t_cdel: np.ndarray, svc: np.ndarray, idle_arr: np.ndarray, queue_depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Window recurrence over precomputed channel/service columns.
-
-    For a FIFO single-server device, finishes are non-decreasing, so
-    the in-flight set after filtering is always the trailing window and
-    "the oldest outstanding completion" is ``finishes[i - qd]``.  The
-    per-request arithmetic is exactly the scalar engine's chain —
-    ``clock → ack = clock + t_cdel → start = max(ack, busy) →
-    finish = start + svc`` — performed on Python floats (same IEEE-754
-    doubles, same operation order, so the stamps are bit-identical).
-    """
-    n = len(svc)
-    t_cdel_l = t_cdel.tolist()
-    svc_l = svc.tolist()
-    idle_l = idle_arr.tolist()
-    submits: list[float] = []
-    acks: list[float] = []
-    starts: list[float] = []
-    finishes: list[float] = []
-    clock = 0.0
-    prev_finish = 0.0
-    qd = queue_depth
-    for i in range(n):
-        if i >= qd and finishes[i - qd] > clock:
-            clock = finishes[i - qd]
-        ack = clock + t_cdel_l[i]
-        start = ack if ack >= prev_finish else prev_finish
-        finish = start + svc_l[i]
-        submits.append(clock)
-        acks.append(ack)
-        starts.append(start)
-        finishes.append(finish)
-        prev_finish = finish
-        if i < n - 1:
-            clock = ack + idle_l[i]
-    return (
-        np.array(submits, dtype=np.float64),
-        np.array(acks, dtype=np.float64),
-        np.array(starts, dtype=np.float64),
-        np.array(finishes, dtype=np.float64),
-    )
-
-
-def _qdepth_events(
-    old_trace: BlockTrace,
-    device: StorageDevice,
-    t_cdel: np.ndarray,
-    idle_arr: np.ndarray,
-    queue_depth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Heap-based discrete-event loop for gap-sensitive devices.
-
-    Performs the exact per-request arithmetic of ``device.submit`` with
-    the validation and conversions hoisted out; the in-flight window
-    lives in a binary heap with lazy expiry (completions at or before
-    the clock are popped on demand), replacing the scalar engine's
-    O(n·qd) list re-filtering.
-    """
-    n = len(old_trace)
-    ops = [OpType.READ if op == 0 else OpType.WRITE for op in old_trace.ops.tolist()]
-    lbas = old_trace.lbas.tolist()
-    sizes = old_trace.sizes.tolist()
-    t_cdel_l = t_cdel.tolist()
-    idle_l = idle_arr.tolist()
-    service = device._service
-    heappush, heappop = heapq.heappush, heapq.heappop
-    in_flight: list[float] = []
-    submits = np.empty(n, dtype=np.float64)
-    acks = np.empty(n, dtype=np.float64)
-    starts = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    clock = 0.0
-    for i in range(n):
-        # Expired completions are swept only when the window looks
-        # full — the heap may carry stale entries, but the blocking
-        # decision (and hence every stamp) is unchanged: after the
-        # sweep the live count is exactly what eager expiry would see.
-        if len(in_flight) >= queue_depth:
-            while in_flight and in_flight[0] <= clock:
-                heappop(in_flight)
-            if len(in_flight) >= queue_depth:
-                clock = heappop(in_flight)
-        ack = clock + t_cdel_l[i]
-        start, finish = service(ops[i], lbas[i], sizes[i], ack)
-        heappush(in_flight, finish)
-        submits[i] = clock
-        acks[i] = ack
-        starts[i] = start
-        finishes[i] = finish
-        if i < n - 1:
-            clock = ack + idle_l[i]
-    return submits, acks, starts, finishes
-
-
-def _qdepth_plan_events(
-    device: StorageDevice,
-    plan,
-    t_cdel: np.ndarray,
-    idle_arr: np.ndarray,
-    queue_depth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Event loop over a precomputed device plan (flash / flash array).
-
-    Request ``i`` owns fragments ``plan.frags[offsets[i]:offsets[i+1]]``
-    in the exact order the scalar fragment walk visits them; each
-    fragment carries its member index and memoised relative-service
-    entry.  The loop body inlines ``FlashSSD._service`` branch for
-    branch — horizon check, slot-range idle probe, slot-range commit,
-    write-buffer admission — so every stamp and every piece of member
-    state (busy stamps, buffer occupancy, horizon) is bit-identical to
-    driving ``_service`` per request, with the per-request key
-    construction, memo lookups, and method dispatch all hoisted into
-    plan construction and the per-die loops collapsed into list-slice
-    operations (see ``repro.storage.flash._entry_commit``).
-    """
-    offsets = plan.offsets
-    frags = plan.frags
-    array_level = plan.array_level
-    members = plan.members_of(device)
-    n = len(offsets) - 1
-    t_cdel_l = t_cdel.tolist()
-    idle_l = idle_arr.tolist()
-    heappush, heappop = heapq.heappush, heapq.heappop
-    in_flight: list[float] = []
-    acks: list[float] = []
-    finishes: list[float] = []
-    #: Rare per-request deviations recorded as (index, value) pairs;
-    #: the dense submit/start columns are derived vectorised afterwards.
-    clock_bumps: list[tuple[int, float]] = []
-    start_overrides: list[tuple[int, float]] = []
-    # Per-member state mirrored into locals: busy lists are shared
-    # objects (mutated in place, so the member's own slow paths stay
-    # coherent), horizons and buffer byte counts are plain floats/ints
-    # written back once at the end — and synced whenever a slow path
-    # re-enters member methods that read them.
-    dbs = [m._die_busy for m in members]
-    cbs = [m._chan_busy for m in members]
-    hors = [m._state_horizon for m in members]
-    bufs = [m._buffered for m in members]
-    bbs = [m._buffered_bytes for m in members]
-    caps = [m._buffer_capacity for m in members]
-    bw_us = [m.geometry.buffer_write_us for m in members]
-    bw4 = [m.channel.bandwidth_mb_s * 4 for m in members]
-    clock = 0.0
-    qd = queue_depth
-    for i in range(n):
-        if len(in_flight) >= qd:
-            while in_flight and in_flight[0] <= clock:
-                heappop(in_flight)
-            if len(in_flight) >= qd:
-                clock = heappop(in_flight)
-                clock_bumps.append((i, clock))
-        ack = clock + t_cdel_l[i]
-        finish = ack
-        for k in range(offsets[i], offsets[i + 1]):
-            mi, e = frags[k]
-            db = dbs[mi]
-            cb = cbs[mi]
-            if e.is_read:
-                if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    f = members[mi]._busy_read(e, ack)
-                    if f > hors[mi]:
-                        hors[mi] = f
-            elif e.buffered:
-                nbytes = e.nbytes
-                buf = bufs[mi]
-                bb = bbs[mi]
-                while buf and buf[0][0] <= ack:
-                    __, freed = buf.popleft()
-                    bb -= freed
-                if bb + nbytes <= caps[mi] and (
-                    ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack)
-                ):
-                    buf.append((ack + e.drain_rel, nbytes))
-                    bbs[mi] = bb + nbytes
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    ssd = members[mi]
-                    ssd._buffered_bytes = bb
-                    start = ssd._buffer_admit(nbytes, ack)
-                    ack_done = start + bw_us[mi] + nbytes / bw4[mi]
-                    drain = ssd._busy_program(e, ack_done)
-                    buf.append((drain, nbytes))
-                    bbs[mi] = ssd._buffered_bytes + nbytes
-                    if drain > hors[mi]:
-                        hors[mi] = drain
-                    f = ack_done
-                    if not array_level:
-                        start_overrides.append((i, start))
-            else:
-                if ack >= hors[mi] or _entry_idle_sparse(db, cb, e, ack):
-                    _entry_commit(db, cb, e, ack)
-                    h = ack + e.horizon
-                    if h > hors[mi]:
-                        hors[mi] = h
-                    f = ack + e.svc
-                else:
-                    f = members[mi]._busy_program(e, ack)
-                    if f > hors[mi]:
-                        hors[mi] = f
-            if f > finish:
-                finish = f
-        heappush(in_flight, finish)
-        acks.append(ack)
-        finishes.append(finish)
-        if i < n - 1:
-            clock = ack + idle_l[i]
-    for m, h, bb in zip(members, hors, bbs):
-        m._state_horizon = h
-        m._buffered_bytes = bb
-    acks_arr = np.array(acks, dtype=np.float64)
-    finishes_arr = np.array(finishes, dtype=np.float64)
-    # Submit column: the clock chain is ack + idle elementwise (same
-    # operands the loop added), overridden where the window-full pops
-    # bumped the clock.
-    submits_arr = np.empty(n, dtype=np.float64)
-    submits_arr[0] = 0.0
-    if n > 1:
-        submits_arr[1:] = acks_arr[:-1] + idle_arr[: n - 1]
-    for i, bumped in clock_bumps:
-        submits_arr[i] = bumped
-    # Start column: the device admits at the ready time everywhere
-    # except a standalone SSD's buffered-write slow path.
-    starts_arr = acks_arr.copy()
-    for i, start in start_overrides:
-        starts_arr[i] = start
-    return submits_arr, acks_arr, starts_arr, finishes_arr
 
 
 def replay_queue_depth_scalar(
@@ -444,7 +175,7 @@ def replay_queue_depth_scalar(
         raise ValueError("cannot replay an empty trace")
     if queue_depth < 1:
         raise ValueError("queue depth must be at least 1")
-    idle_arr = _validated_idle(n, idle_us)
+    idle_arr = validated_idle(n, idle_us)
     device.reset()
     collector = TraceCollector(
         name=old_trace.name,

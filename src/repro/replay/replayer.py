@@ -22,7 +22,30 @@ from ..trace.record import OpType
 from ..trace.trace import BlockTrace
 from .collector import TraceCollector
 
-__all__ = ["ReplayResult", "replay_with_idle", "replay_back_to_back"]
+__all__ = ["ReplayResult", "replay_with_idle", "replay_back_to_back", "validated_idle"]
+
+
+def validated_idle(n: int, idle_us: np.ndarray | None) -> np.ndarray:
+    """The idle periods between ``n`` requests, checked (length ``n - 1``).
+
+    Every replay engine takes ``idle_us`` of length ``n - 1`` or ``n``
+    (a trailing entry is ignored) or ``None`` for no idle.  Values must
+    be finite and non-negative: a NaN or infinite period would poison
+    every later stamp.
+    """
+    if idle_us is None:
+        return np.zeros(max(0, n - 1), dtype=np.float64)
+    idle_arr = np.asarray(idle_us, dtype=np.float64)
+    if len(idle_arr) not in (n - 1, n):
+        raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
+    bad = np.flatnonzero(~np.isfinite(idle_arr))
+    if len(bad):
+        raise ValueError(
+            f"idle periods must be finite, got {idle_arr[bad[0]]} at index {int(bad[0])}"
+        )
+    if np.any(idle_arr < 0):
+        raise ValueError("idle periods must be non-negative")
+    return idle_arr[: n - 1]
 
 
 class ReplayResult:
@@ -120,14 +143,7 @@ def replay_with_idle(
     n = len(old_trace)
     if n == 0:
         raise ValueError("cannot replay an empty trace")
-    if idle_us is not None:
-        idle_arr = np.asarray(idle_us, dtype=np.float64)
-        if len(idle_arr) not in (n - 1, n):
-            raise ValueError(f"idle array must have length {n - 1} (or {n}), got {len(idle_arr)}")
-        if np.any(idle_arr < 0):
-            raise ValueError("idle periods must be non-negative")
-    else:
-        idle_arr = np.zeros(max(0, n - 1), dtype=np.float64)
+    idle_arr = validated_idle(n, idle_us)
     device.reset()
     collector = TraceCollector(
         name=old_trace.name,

@@ -240,11 +240,11 @@ class FlashArray(StorageDevice):
         return np.maximum.reduceat(svc_u[inverse], offsets[:-1])
 
     def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Fragment plan for the queue-depth event loop.
+        """Fragment plan for the plan loop (:func:`repro.storage.drive.drive`).
 
         Same fragment order as the scalar :meth:`_service` walk; every
         fragment carries its owning member SSD and memo entry so the
-        event loop can run each member's fast paths inline.  Pure — no
+        plan loop can run each member's fast paths inline.  Pure — no
         simulator state is consumed.  ``None`` when the columnar
         engines are disabled.
         """
@@ -261,7 +261,7 @@ class FlashArray(StorageDevice):
         offsets, req, frag_start, frag_size, member = self._fragment_columns(lbas, sizes)
         first, n_pages = page_span(frag_start, frag_size, member0._page_sectors)
         entries = member0._entries_for(ops[req], first, n_pages, frag_size)
-        frags = list(zip(member.tolist(), entries))
-        plan = FlashReplayPlan(offsets.tolist(), frags, array_level=True)
+        counts = np.diff(offsets).tolist()
+        plan = FlashReplayPlan(counts, member.tolist(), entries, array_level=True)
         _plan_cache_put(key, plan)
         return plan

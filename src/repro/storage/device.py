@@ -160,15 +160,17 @@ class StorageDevice(abc.ABC):
         return False
 
     def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Precomputed per-request service columns for event-loop replay.
+        """Precomputed per-request service columns for the plan loop.
 
         Devices with internal parallelism (flash, flash arrays) return
         a plan object that resolves every request's fragment fan-out
-        and memoised relative-service entries up front, letting the
-        queue-depth event loop run the device fast paths inline without
-        per-request dispatch.  Must be *pure* (no simulator state
-        consumed).  The default is ``None``: the event loop falls back
-        to driving :meth:`_service` request by request.
+        and memoised relative-service entries up front, letting
+        :func:`repro.storage.drive.drive` run the device fast paths
+        inline without per-request dispatch, under every clock rule
+        (synchronous replay, collection, queue depth).  Must be *pure*
+        (no simulator state consumed).  The default is ``None``: the
+        drive falls back to calling :meth:`_service` request by
+        request.
         """
         return None
 

@@ -117,8 +117,9 @@ class _RelService:
         self.chan_uval = (
             chan_vals[0] if chan_vals.count(chan_vals[0]) == len(chan_vals) else None
         )
-        # Request-shape flags the replay engine needs per fragment;
-        # the shape key includes op and size, so they are entry facts.
+        # Request-shape flags the plan loop needs per fragment; the
+        # shape key includes op and size, so they are entry facts.
+        # ``buffered`` marks a write the write buffer can admit.
         # Filled by ``FlashSSD._rel_entry``.
         self.is_read = True
         self.nbytes = 0
@@ -138,76 +139,29 @@ class _RelService:
             self.walk_op_us = None
 
 
-def _entry_idle_sparse(db: list, cb: list, e: _RelService, t_ready: float) -> bool:
-    """Exact sparse idle probe over the entry's contiguous slot ranges.
-
-    Equivalent to ``FlashSSD._state_idle_for`` with the horizon tier
-    already checked by the caller: ``True`` iff no touched die or
-    channel is busy past ``t_ready``.  ``max()`` over a list slice is
-    the same comparison set as the scalar per-item loop.
-    """
-    a, b, b2 = e.die_segs
-    if max(db[a:b]) > t_ready:
-        return False
-    if b2 and max(db[:b2]) > t_ready:
-        return False
-    a, b, b2 = e.chan_segs
-    if max(cb[a:b]) > t_ready:
-        return False
-    if b2 and max(cb[:b2]) > t_ready:
-        return False
-    return True
-
-
-def _entry_commit(db: list, cb: list, e: _RelService, t_ready: float) -> None:
-    """Apply the entry's busy-stamp update; bitwise ``_commit_fast`` twin.
-
-    Uniform single-wave shapes commit with slice assignments (the
-    shared stamp ``t_ready + v`` equals what the per-item loop writes,
-    same operands); non-uniform shapes fall back to the item loop.
-    The caller owns the horizon update (the replay engine mirrors
-    member horizons into locals).
-    """
-    u = e.die_uval
-    if u is not None:
-        a, b, b2 = e.die_segs
-        v = t_ready + u
-        db[a:b] = [v] * (b - a)
-        if b2:
-            db[:b2] = [v] * b2
-    else:
-        for s, rel in e.die_items:
-            db[s] = t_ready + rel
-    u = e.chan_uval
-    if u is not None:
-        a, b, b2 = e.chan_segs
-        v = t_ready + u
-        cb[a:b] = [v] * (b - a)
-        if b2:
-            cb[:b2] = [v] * b2
-    else:
-        for c, rel in e.chan_items:
-            cb[c] = t_ready + rel
-
-
 @dataclass(frozen=True, slots=True)
 class FlashReplayPlan:
-    """Precomputed per-request fragment columns for queue-depth replay.
+    """Precomputed per-request fragment columns for the plan loop.
 
     Built by :meth:`FlashSSD.replay_plan` / ``FlashArray.replay_plan``
-    from the grouped shape kernels: request ``i`` owns fragments
-    ``frags[offsets[i]:offsets[i + 1]]``, each a
-    ``(member_index, entry)`` pair ready for the event loop's inlined
-    fast paths (the per-fragment op/size facts — ``is_read``,
-    ``nbytes``, ``buffered`` — live on the shape-keyed entry).  Member
-    indices (not object references) keep the plan valid for *any*
-    device with the same fingerprint, so plans are shareable through
-    the content cache.  Construction is pure — no simulator state is
-    read or consumed.
+    from the grouped shape kernels and consumed by
+    :func:`repro.storage.drive.drive` under every clock rule
+    (synchronous replay, collection, queue depth).  Request ``i`` owns
+    the next ``counts[i]`` fragments of the parallel ``member_idx`` and
+    ``entries`` lists: the member SSD index and the memoised
+    relative-service entry of each (the per-fragment op/size facts —
+    ``is_read``, ``nbytes``, ``buffered`` — live on the shape-keyed
+    entry).  The columns are flat lists with no per-fragment tuple, so
+    building a plan allocates no GC-tracked containers per request.
+    Member indices (not object references) keep the plan valid for
+    *any* device with the same fingerprint, so plans are shareable
+    through the content cache.  Construction is pure — no simulator
+    state is read or consumed.
     """
 
-    offsets: list[int]
-    frags: list[tuple]
+    counts: list[int]
+    member_idx: list[int]
+    entries: list
     #: ``True`` when fragments belong to an array (request start stamp
     #: is the array-level ready time, not a member's admission time).
     array_level: bool
@@ -235,9 +189,9 @@ def _stream_digest(ops, lbas, sizes) -> bytes:
     """Content hash of a request stream (the plan-cache key half)."""
     h = hashlib.blake2b(digest_size=16)
     for col in (ops, lbas, sizes):
-        arr = np.ascontiguousarray(np.asarray(col))
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
+        arr = np.asarray(col)
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())  # C-order bytes, contiguous or not
     return h.digest()
 
 
@@ -558,7 +512,7 @@ class FlashSSD(StorageDevice):
                 )
             entry.is_read = False
         entry.nbytes = nbytes
-        entry.buffered = 0 < nbytes <= self._buffer_capacity
+        entry.buffered = not entry.is_read and 0 < nbytes <= self._buffer_capacity
         self._rel_cache[key] = entry
         return entry
 
@@ -715,14 +669,14 @@ class FlashSSD(StorageDevice):
         return svc[inverse]
 
     # ------------------------------------------------------------------
-    # replay-plan kernels (queue-depth event loop fast path)
+    # replay-plan kernels (the plan loop's fast path)
     # ------------------------------------------------------------------
 
     def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Fragment plan for the queue-depth event loop (one frag/request).
+        """Fragment plan for the plan loop (one fragment per request).
 
         Pure — resolves every request's memoised relative-service entry
-        up front (grouped by shape) so the event loop can run the
+        up front (grouped by shape) so the plan loop can run the
         device's fast paths without per-request key construction, dict
         lookups, or method dispatch.  Plans are content-cached: two
         devices with equal fingerprints replaying the same stream share
@@ -740,23 +694,28 @@ class FlashSSD(StorageDevice):
         n = len(lbas)
         first, n_pages = page_span(lbas, sizes, self._page_sectors)
         entries = self._entries_for(ops, first, n_pages, sizes)
-        frags = list(zip([0] * n, entries))
-        plan = FlashReplayPlan(list(range(n + 1)), frags, array_level=False)
+        plan = FlashReplayPlan([1] * n, [0] * n, entries, array_level=False)
         _plan_cache_put(key, plan)
         return plan
 
     def _entries_for(
         self, ops: np.ndarray, first: np.ndarray, n_pages: np.ndarray, sizes: np.ndarray
     ) -> list[_RelService]:
-        """Per-row memo entries, evaluated once per unique shape."""
+        """Per-row memo entries, evaluated once per unique shape.
+
+        A unique row ``(op, slot, n_pages, size)`` is the memo key
+        itself, so warm shapes cost one dict lookup; only misses go
+        through :meth:`_rel_entry`.
+        """
         uniq, inverse = group_shapes(ops, first % self._total_dies, n_pages, sizes)
-        rel_entry = self._rel_entry
-        read = OpType.READ
-        write = OpType.WRITE
-        uniq_entries = [
-            rel_entry(read if op == 0 else write, slot, npg, size)
-            for op, slot, npg, size in uniq.tolist()
-        ]
+        cache = self._rel_cache
+        uniq_entries = []
+        for key in map(tuple, uniq.tolist()):
+            entry = cache.get(key)
+            if entry is None:
+                op, slot, npg, size = key
+                entry = self._rel_entry(OpType(op), slot, npg, size)
+            uniq_entries.append(entry)
         return [uniq_entries[j] for j in inverse.tolist()]
 
     def _busy_read(self, entry: _RelService, t_ready: float) -> float:

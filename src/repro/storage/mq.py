@@ -96,10 +96,10 @@ class MultiQueueDevice(StorageDevice):
         return svc
 
     def replay_plan(self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray):
-        """Always ``None``: the fragment-plan event loop cannot express
-        the per-queue gate (a request's ready time depends on a prior
-        completion chosen by queue index, not window order), so
-        queue-depth replay drives :meth:`_service` directly.
+        """Always ``None``: the fragment plan loop cannot express the
+        per-queue gate (a request's ready time depends on a prior
+        completion chosen by queue index, not window order), so every
+        replay drives :meth:`_service` directly.
         """
         return None
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..storage.device import StorageDevice
+from ..storage.drive import drive
 from ..trace.record import OpType
 from ..trace.trace import BlockTrace
 
@@ -299,11 +300,16 @@ def collect_trace(
 
     The device is reset before collection so runs are reproducible.
 
-    Devices that are single-FIFO servers with gap-invariant service
-    times (``fifo_single_server`` and a successful ``service_batch``)
-    are collected through a closed-form clock recurrence over the
-    pre-priced stream — bit-identical stamps at a fraction of the cost.
-    Other devices take the request-by-request ``submit`` path.
+    The stream goes through :func:`repro.storage.drive.drive` with
+    ``gaps = thinks`` and the intents' sync flags: a closed-form
+    recurrence over the pre-priced stream on single-FIFO servers with
+    gap-invariant service times (``fifo_single_server`` and a
+    successful ``service_batch``), the plan loop on devices that build
+    a replay plan (flash, flash arrays — the plan is content-cached, so
+    a later replay of the same request columns on an equal device
+    reuses it), the per-request ``_service`` loop elsewhere.  Every
+    path records the stamps a ``device.submit``-driven loop would, bit
+    for bit.
     """
     device.reset()
     metadata = {
@@ -318,34 +324,9 @@ def collect_trace(
         if device.fifo_single_server
         else None
     )
-    if svc is not None:
-        return _collect_fifo(
-            intents, device, svc, record_device_times, record_sync_flags, trace_name, metadata
-        )
-    # Request-by-request path for gap-sensitive devices: the same
-    # arithmetic StorageDevice.submit performs (channel hand-off, then
-    # _service), with per-request conversions hoisted out of the loop.
-    n = len(intents)
-    ops = [OpType.READ if op == 0 else OpType.WRITE for op in intents.ops.tolist()]
-    lbas = intents.lbas.tolist()
-    sizes = intents.sizes.tolist()
-    thinks = intents.thinks.tolist()
-    syncs = intents.syncs.tolist()
-    t_cdel = device.channel.delay_batch_us(intents.ops, intents.sizes).tolist()
-    service = device._service
-    submits = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    host_free = 0.0
-    for i in range(n):
-        op = ops[i]
-        # Driver-level issue stamp (MSPS/MSRC tracing semantics): the
-        # recorded device time includes channel + queueing.
-        submit = host_free + thinks[i]
-        ack = submit + t_cdel[i]
-        __, finish = service(op, lbas[i], sizes[i], ack)
-        submits[i] = submit
-        finishes[i] = finish
-        host_free = finish if syncs[i] else ack
+    submits, __, __, finishes = drive(
+        device, intents.ops, intents.lbas, intents.sizes, intents.thinks, intents.syncs, priced=svc
+    )
     return BlockTrace(
         timestamps=submits,
         lbas=intents.lbas,
@@ -355,52 +336,5 @@ def collect_trace(
         completes=finishes if record_device_times else None,
         syncs=intents.syncs if record_sync_flags else None,
         name=trace_name,
-        metadata=metadata,
-    )
-
-
-def _collect_fifo(
-    intents: IntentStream,
-    device: StorageDevice,
-    svc: np.ndarray,
-    record_device_times: bool,
-    record_sync_flags: bool,
-    name: str,
-    metadata: dict,
-) -> BlockTrace:
-    """Clock recurrence for single-FIFO, gap-invariant devices.
-
-    Per request: ``ack = submit + T_cdel``, ``start = max(ack, busy)``,
-    ``finish = start + svc`` — the exact arithmetic ``submit``/
-    ``_service`` performs on such devices, with the service times priced
-    up front by ``service_batch``.
-    """
-    n = len(intents)
-    t_cdel = device.channel.delay_batch_us(intents.ops, intents.sizes).tolist()
-    thinks = intents.thinks.tolist()
-    syncs = intents.syncs.tolist()
-    svc_list = svc.tolist()
-    submits = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    host_free = 0.0
-    busy = 0.0
-    for i in range(n):
-        submit = host_free + thinks[i]
-        ack = submit + t_cdel[i]
-        start = ack if ack >= busy else busy
-        finish = start + svc_list[i]
-        submits[i] = submit
-        finishes[i] = finish
-        busy = finish
-        host_free = finish if syncs[i] else ack
-    return BlockTrace(
-        timestamps=submits,
-        lbas=intents.lbas,
-        sizes=intents.sizes,
-        ops=intents.ops,
-        issues=submits.copy() if record_device_times else None,
-        completes=finishes if record_device_times else None,
-        syncs=intents.syncs if record_sync_flags else None,
-        name=name,
         metadata=metadata,
     )

@@ -12,10 +12,10 @@ same simulator state afterwards:
 - the grouped ``_service_batch`` kernels (flash and array) against the
   retained per-request loops;
 - the RAID member-stream decomposition against the scalar builders;
-- the plan-based queue-depth event loop against the scalar replay
-  oracle, including *simulator-state equivalence* (die/channel busy
-  stamps, write-buffer occupancy, horizons, RNG state where present)
-  and mixed batch/scalar use.
+- the plan loop, at queue depth and synchronously, against the scalar
+  replay oracles, including *simulator-state equivalence* (die/channel
+  busy stamps, write-buffer occupancy, horizons, RNG state where
+  present) and mixed batch/scalar use.
 
 CI runs this file twice: once with the columnar engines enabled and
 once with ``REPRO_SCALAR_KERNELS=1`` forcing the scalar paths, so the
@@ -29,7 +29,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.replay import replay_queue_depth, replay_queue_depth_scalar
+from repro.replay import (
+    replay_queue_depth,
+    replay_queue_depth_scalar,
+    replay_with_idle,
+    replay_with_idle_batch,
+)
 from repro.storage import FlashArray, FlashGeometry, FlashSSD, HDDModel, Raid0, Raid1
 from repro.storage import kernels
 from repro.storage.kernels import (
@@ -373,7 +378,7 @@ def _flash_state(device):
 
 
 class TestPlanReplayStateEquivalence:
-    """Plan event loop: stamps AND simulator state match the oracle."""
+    """Plan loop: stamps AND simulator state match the oracle."""
 
     @pytest.mark.parametrize(
         "device_key", ["flash-buffered", "flash-nobuffer", "array-default", "array-nobuffer"]
@@ -395,6 +400,33 @@ class TestPlanReplayStateEquivalence:
         oracle = replay_queue_depth_scalar(
             trace, oracle_dev, idle_us=idle, queue_depth=queue_depth
         )
+        assert_replays_identical(fast, oracle)
+        assert _flash_state(fast_dev) == _flash_state(oracle_dev)
+
+    @pytest.mark.parametrize("device_key", ["flash-buffered", "array-default"])
+    def test_state_after_sync_replay(self, device_key):
+        """Synchronous replay (the plan loop's sync clock rule) vs the
+        scalar ``replay_with_idle`` oracle, stamps and member state.
+
+        Buffered devices only: a buffer-less device prices a synchronous
+        stream with ``service_batch`` and leaves its timing state
+        unspecified, so only the stamps are comparable there.
+        """
+        make = DEVICE_FACTORIES[device_key]
+        rng = np.random.default_rng(63)
+        n = 120
+        trace = BlockTrace(
+            timestamps=np.cumsum(rng.integers(1, 200, n)).astype(np.float64),
+            lbas=rng.integers(0, 1 << 22, n),
+            sizes=rng.integers(1, 600, n),
+            ops=rng.integers(0, 2, n).astype(np.int8),
+        )
+        # Zero idles make back-to-back requests meet a busy device.
+        idle = np.where(rng.random(n - 1) < 0.5, 0.0, rng.uniform(0, 800.0, n - 1))
+        fast_dev, oracle_dev = make(), make()
+        assert fast_dev.service_batch(trace.ops, trace.lbas, trace.sizes) is None
+        fast = replay_with_idle_batch(trace, fast_dev, idle_us=idle)
+        oracle = replay_with_idle(trace, oracle_dev, idle_us=idle)
         assert_replays_identical(fast, oracle)
         assert _flash_state(fast_dev) == _flash_state(oracle_dev)
 

@@ -5,7 +5,7 @@ identical replay stamps under every engine pairing:
 
 - synchronous scalar replay vs the batch fast path;
 - the production queue-depth engine vs its retained scalar oracle, at
-  queue depth 1 (FIFO fast path) and 3 (event loop / plan engine);
+  queue depth 1 (FIFO fast path) and 3 (``_service`` loop / plan loop);
 - the columnar kernels vs the forced-scalar engines
   (``REPRO_SCALAR_KERNELS`` seam, toggled via ``set_force_scalar``);
 - whole-stream ``service_batch`` pricing vs the same stream priced in
@@ -101,9 +101,9 @@ class TestQueueDepthIdentity:
     """Every queue-depth engine vs the scalar oracle, bitwise.
 
     Three differential columns per zoo entry: the scalar oracle is the
-    ground truth, and the generic event loop (``events``) and the
-    per-event plan engine (``plan``) must each reproduce its stamps
-    exactly.  Plan-less devices route ``plan`` back to the event loop,
+    ground truth, and the generic ``_service`` loop (``events``) and the
+    plan loop (``plan``) must each reproduce its stamps exactly.
+    Plan-less devices route ``plan`` back to the ``_service`` loop,
     so the parametrisation is uniform over the whole zoo — fault
     wrappers included.
     """

@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.nodes import new_node
 from repro.replay import (
     detect_async_indices,
     replay_back_to_back,
+    replay_queue_depth,
+    replay_queue_depth_scalar,
     replay_with_idle,
+    replay_with_idle_batch,
     revive_async,
 )
+from repro.storage import HDDModel
 from repro.trace import BlockTrace, OpType
+from repro.workloads import collect_trace, generate_intents, get_spec
 
 
 def pattern_trace(n: int = 20) -> BlockTrace:
@@ -81,6 +87,41 @@ class TestReplayer:
         a = replay_with_idle(old, const_device, None).trace.timestamps
         b = replay_with_idle(old, const_device, None).trace.timestamps
         np.testing.assert_allclose(a, b)
+
+
+class TestNonFiniteIdle:
+    """One idle validator guards every replay entry point.
+
+    ``nan < 0`` is false, so a non-negativity check alone lets a NaN
+    period through; the engines would then return non-finite, unsorted
+    stamps (the scalar replayer fails later, with a misleading
+    ``completion stamps out of order``).
+    """
+
+    ENTRY_POINTS = {
+        "replay_with_idle": replay_with_idle,
+        "replay_with_idle_batch": replay_with_idle_batch,
+        "replay_queue_depth": replay_queue_depth,
+        "replay_queue_depth_scalar": replay_queue_depth_scalar,
+    }
+
+    @pytest.fixture(scope="class")
+    def msnfs_trace(self):
+        return collect_trace(generate_intents(get_spec("MSNFS").scaled(50)), HDDModel())
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_with_clear_message(self, msnfs_trace, entry, bad):
+        idle = np.full(len(msnfs_trace) - 1, 100.0)
+        idle[3] = bad
+        with pytest.raises(ValueError, match="idle periods must be finite.*at index 3"):
+            self.ENTRY_POINTS[entry](msnfs_trace, new_node(), idle)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_finite_idle_still_accepted(self, msnfs_trace, entry):
+        idle = np.full(len(msnfs_trace) - 1, 100.0)
+        result = self.ENTRY_POINTS[entry](msnfs_trace, new_node(), idle)
+        assert np.all(np.isfinite(result.finishes))
 
 
 class TestDetectAsync:
