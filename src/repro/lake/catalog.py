@@ -197,25 +197,34 @@ class LakeCatalog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path), timeout=timeout_s)
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        # Switching a fresh file to WAL needs an exclusive lock, and an
+        # opener racing another one can get "database is locked" without
+        # the busy handler ever waiting, so it retries like a write.
+        _write_with_retry(lambda: self._conn.execute("PRAGMA journal_mode=WAL"))
         self._conn.execute(f"PRAGMA busy_timeout={int(timeout_s * 1000)}")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        with self._conn:
+
+        def _bootstrap() -> None:
+            # Stamp-if-absent in one statement: openers racing on a
+            # fresh lake all succeed, and the first stamp wins.
             self._conn.executescript(_SCHEMA)
-            row = self._conn.execute(
-                "SELECT value FROM lake_meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
+            with self._conn:
                 self._conn.execute(
-                    "INSERT INTO lake_meta (key, value) VALUES ('schema_version', ?)",
+                    "INSERT OR IGNORE INTO lake_meta (key, value) "
+                    "VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
                 )
-            elif int(row[0]) != SCHEMA_VERSION:
-                raise LakeError(
-                    f"{self.path} has lake schema version {row[0]}; this build "
-                    f"reads version {SCHEMA_VERSION} — rebuild with "
-                    f"'repro-lake ingest --rescan'"
-                )
+
+        _write_with_retry(_bootstrap)
+        row = self._conn.execute(
+            "SELECT value FROM lake_meta WHERE key='schema_version'"
+        ).fetchone()
+        if int(row[0]) != SCHEMA_VERSION:
+            raise LakeError(
+                f"{self.path} has lake schema version {row[0]}; this build "
+                f"reads version {SCHEMA_VERSION} — rebuild with "
+                f"'repro-lake ingest --rescan'"
+            )
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""

@@ -85,7 +85,11 @@ def replay_queue_depth(
     ``i + 1`` at ``max(ack_i + idle_us[i], finish_i)``, so think time
     overlaps the device service, while the synchronous replayer submits
     at ``finish_i + idle_us[i]``.  The two coincide only when every idle
-    period is zero (both then submit at ``finish_i``).
+    period is zero (both then submit at ``finish_i``).  This
+    asynchronous reading is intended: the window bounds how many
+    requests are outstanding, and think time keeps running from the
+    hand-off at every depth (pinned by
+    ``tests/test_replay_qdepth.py::TestDepthOneSubmitRule``).
 
     Stamps are bit-identical to :func:`replay_queue_depth_scalar`
     (property-tested across every device type); see the module

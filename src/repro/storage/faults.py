@@ -31,7 +31,7 @@ the fault transform with the same elementwise operations, and keeps its
 own FIFO busy-until stamp — so the synchronous, batch, and queue-depth
 replay engines all perform identical float operations and the
 differential identity harness (`tests/test_device_zoo_identity.py`)
-holds bitwise under both ``REPRO_SCALAR_KERNELS`` settings.
+holds bitwise.
 """
 
 from __future__ import annotations
@@ -443,9 +443,8 @@ class DegradedRaid1(StorageDevice):
     # -- batch path ----------------------------------------------------
     #
     # The survivor fan-out is tiny (reads pick one member, writes hit
-    # them all), so the per-request stream builder is used under both
-    # engines — the REPRO_SCALAR_KERNELS seam's "fall back to scalar
-    # where vectorisation doesn't pay" case.  With rebuild traffic
+    # them all), so one per-request stream builder serves it; a
+    # vectorised twin would not pay.  With rebuild traffic
     # enabled the injected reads queue against host requests at real
     # arrival instants, so the stream is not gap-invariant and the
     # batch path is refused outright.

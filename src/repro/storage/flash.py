@@ -31,14 +31,7 @@ import numpy as np
 from ..trace.record import SECTOR_BYTES, OpType
 from .channel import PCIE3_X4, InterfaceChannel
 from .device import StorageDevice
-from .kernels import (
-    COLUMNAR_MIN_PAGES,
-    columnar_enabled,
-    group_shapes,
-    page_span,
-    program_wave_kernel,
-    read_wave_kernel,
-)
+from .kernels import group_shapes, page_span
 
 __all__ = ["FlashGeometry", "FlashSSD", "FlashReplayPlan"]
 
@@ -65,7 +58,7 @@ class _RelService:
 
     __slots__ = (
         "svc", "drain_rel", "die_items", "chan_items", "horizon", "walk",
-        "slot", "n_pages", "die_segs", "die_uval", "chan_segs", "chan_uval",
+        "die_segs", "die_uval", "chan_segs", "chan_uval",
         "is_read", "nbytes", "buffered", "walk_pairs", "walk_op_us",
     )
 
@@ -97,8 +90,6 @@ class _RelService:
         #: busy path can re-run the scalar recurrence without dict or
         #: geometry lookups.
         self.walk = walk
-        self.slot = slot
-        self.n_pages = n_pages
         # Touched-slot ranges: [a1, b1) and the wrapped [0, b2).
         k = n_pages if n_pages < total_dies else total_dies
         if slot + k <= total_dies:
@@ -144,7 +135,7 @@ class FlashReplayPlan:
     """Precomputed per-request fragment columns for the plan loop.
 
     Built by :meth:`FlashSSD.replay_plan` / ``FlashArray.replay_plan``
-    from the grouped shape kernels and consumed by
+    from grouped request shapes and consumed by
     :func:`repro.storage.drive.drive` under every clock rule
     (synchronous replay, collection, queue depth).  Request ``i`` owns
     the next ``counts[i]`` fragments of the parallel ``member_idx`` and
@@ -307,8 +298,7 @@ class FlashSSD(StorageDevice):
         # extent therefore touches a contiguous circular slot range —
         # what lets the memoised entries describe their footprint as
         # slices.  ``_map_ch`` caches slot -> channel for the scalar
-        # walks (list indexing beats a per-page modulo); the columnar
-        # kernels derive the mapping from ``channels`` themselves.
+        # walks (list indexing beats a per-page modulo).
         self._map_ch = (np.arange(self._total_dies, dtype=np.int64) % g.channels).tolist()
 
     @property
@@ -351,9 +341,8 @@ class FlashSSD(StorageDevice):
     def _read_pages(self, pages: range, t_ready: float) -> float:
         """Service a read: die array read, then channel transfer out.
 
-        Retained scalar walk — the oracle for the columnar read paths
-        (:func:`~repro.storage.kernels.read_wave_kernel` and the
-        memoised per-shape walks).
+        Retained scalar walk — the oracle for the memoised per-shape
+        walk :meth:`_busy_read`.
         """
         g = self.geometry
         td = self._total_dies
@@ -380,9 +369,8 @@ class FlashSSD(StorageDevice):
     def _program_pages(self, pages: range, t_ready: float) -> float:
         """Drain writes to NAND: channel transfer in, then program.
 
-        Retained scalar walk — the oracle for the columnar program
-        paths (:func:`~repro.storage.kernels.program_wave_kernel` and
-        the memoised per-shape walks).
+        Retained scalar walk — the oracle for the memoised per-shape
+        walk :meth:`_busy_program`.
         """
         g = self.geometry
         td = self._total_dies
@@ -620,14 +608,7 @@ class FlashSSD(StorageDevice):
     def _service_batch(
         self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray:
-        if columnar_enabled():
-            return self._service_batch_columnar(ops, lbas, sizes)
-        return self._service_batch_scalar(ops, lbas, sizes)
-
-    def _service_batch_scalar(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Retained per-request loop — the grouped kernel's oracle."""
+        """Idle-state service per request: one memoised entry lookup each."""
         lbas = np.asarray(lbas, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         first, n_pages = page_span(lbas, sizes, self._page_sectors)
@@ -641,33 +622,6 @@ class FlashSSD(StorageDevice):
             out[i] = rel_entry(read if op == 0 else write, fp, npg, size).svc
         return out
 
-    def _service_batch_columnar(
-        self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Grouped service kernel: evaluate each distinct shape once.
-
-        A request's idle-state service depends only on its
-        ``(op, first_page % total_dies, n_pages, size)`` shape, so the
-        stream collapses to one memo evaluation per *unique* shape and
-        a scatter — subsuming the per-request ``_rel_entry`` loop (and
-        its dict lookups) for batch streams.  Bit-identical to
-        :meth:`_service_batch_scalar` because both read the same
-        memoised entries.
-        """
-        lbas = np.asarray(lbas, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        first, n_pages = page_span(lbas, sizes, self._page_sectors)
-        uniq, inverse = group_shapes(
-            np.asarray(ops), first % self._total_dies, n_pages, sizes
-        )
-        svc = np.empty(len(uniq), dtype=np.float64)
-        rel_entry = self._rel_entry
-        read = OpType.READ
-        write = OpType.WRITE
-        for j, (op, slot, npg, size) in enumerate(uniq.tolist()):
-            svc[j] = rel_entry(read if op == 0 else write, slot, npg, size).svc
-        return svc[inverse]
-
     # ------------------------------------------------------------------
     # replay-plan kernels (the plan loop's fast path)
     # ------------------------------------------------------------------
@@ -680,10 +634,8 @@ class FlashSSD(StorageDevice):
         device's fast paths without per-request key construction, dict
         lookups, or method dispatch.  Plans are content-cached: two
         devices with equal fingerprints replaying the same stream share
-        one plan.  ``None`` when the columnar engines are disabled.
+        one plan.
         """
-        if not columnar_enabled():
-            return None
         key = (self.fingerprint(), _stream_digest(ops, lbas, sizes))
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
@@ -725,16 +677,9 @@ class FlashSSD(StorageDevice):
         memoised walk replays the exact per-page recurrence with the
         modulo/dict work resolved at shape-evaluation time.  Shapes
         with independent pages compute only the exceptional busy
-        dies/channels and slice-fill the uniform remainder; large
-        extents hand off to the columnar wave kernel.
+        dies/channels and slice-fill the uniform remainder; every other
+        shape, of any size, runs the per-page walk.
         """
-        if entry.n_pages >= COLUMNAR_MIN_PAGES:
-            g = self.geometry
-            return read_wave_kernel(
-                entry.slot, entry.n_pages, t_ready, self._die_busy, self._chan_busy,
-                g.channels, self._total_dies,
-                g.read_us, g.page_transfer_us, g.planes_per_die, self.plane_interleave,
-            )
         xfer_us = self._xfer_us
         die_busy, chan_busy = self._die_busy, self._chan_busy
         pairs = entry.walk_pairs
@@ -793,13 +738,6 @@ class FlashSSD(StorageDevice):
 
     def _busy_program(self, entry: _RelService, t_ready: float) -> float:
         """Busy-state program walk; oracle is :meth:`_program_pages`."""
-        if entry.n_pages >= COLUMNAR_MIN_PAGES:
-            g = self.geometry
-            return program_wave_kernel(
-                entry.slot, entry.n_pages, t_ready, self._die_busy, self._chan_busy,
-                g.channels, self._total_dies,
-                g.program_us, g.page_transfer_us, g.planes_per_die, self.plane_interleave,
-            )
         xfer_us = self._xfer_us
         die_busy, chan_busy = self._die_busy, self._chan_busy
         pairs = entry.walk_pairs

@@ -24,7 +24,6 @@ import numpy as np
 from ..trace.record import OpType
 from .channel import InterfaceChannel
 from .device import StorageDevice
-from .kernels import columnar_enabled
 
 __all__ = ["Raid0", "Raid1"]
 
@@ -125,14 +124,12 @@ class Raid0(_RaidBase):
         members — its same-member fragments would queue behind each
         other, breaking the max-of-independent-fragments combination.
         """
-        if columnar_enabled():
-            return self._member_streams_columnar(ops, lbas, sizes)
-        return self._member_streams_scalar(ops, lbas, sizes)
+        return self._member_streams_columnar(ops, lbas, sizes)
 
     def _member_streams_scalar(
         self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray
     ) -> list[tuple[list[int], list[int], list[int], list[int]]] | None:
-        """Retained per-request stream builder — the columnar oracle."""
+        """Retained per-request stream builder — the columnar builder's test oracle."""
         n_members = len(self.members)
         streams: list[tuple[list[int], list[int], list[int], list[int]]] = [
             ([], [], [], []) for _ in range(n_members)
@@ -286,14 +283,15 @@ class Raid1(_RaidBase):
         """Per-member substreams: each read on its chosen mirror, writes on all."""
         # A custom read policy is an arbitrary Python callable, so only
         # the default round-robin balancer has a columnar expression.
-        if columnar_enabled() and self._read_policy is None:
+        if self._read_policy is None:
             return self._member_streams_columnar(ops, lbas, sizes, counter)
         return self._member_streams_scalar(ops, lbas, sizes, counter)
 
     def _member_streams_scalar(
         self, ops: np.ndarray, lbas: np.ndarray, sizes: np.ndarray, counter: int
     ) -> list[tuple[list[int], list[int], list[int], list[int]]]:
-        """Retained per-request stream builder — the columnar oracle."""
+        """Per-request stream builder: the custom-policy path, and the
+        columnar builder's oracle."""
         n_members = len(self.members)
         streams: list[tuple[list[int], list[int], list[int], list[int]]] = [
             ([], [], [], []) for _ in range(n_members)

@@ -8,10 +8,6 @@ reproduce, at tolerance zero, what a plain loop over
 :meth:`~repro.storage.device.StorageDevice.submit` records — the
 stamps *and* (for flash) the simulator state left behind.
 
-CI runs this file a second time with ``REPRO_SCALAR_KERNELS=1``: the
-flash devices then build no plan, so the same assertions gate the
-``_service`` loop on them too.
-
 The file also pins plan sharing: collecting an intent stream and
 replaying the collected trace on fingerprint-equal devices consume one
 content-cached plan object.
@@ -27,7 +23,7 @@ import pytest
 from repro.campaign.devices import build_device, device_zoo
 from repro.experiments.nodes import new_node
 from repro.replay import replay_queue_depth, replay_with_idle_batch
-from repro.storage import FlashArray, FlashGeometry, FlashSSD, InterfaceChannel, flash, kernels
+from repro.storage import FlashArray, FlashGeometry, FlashSSD, InterfaceChannel, flash
 from repro.trace.record import OpType
 from repro.workloads import collect_trace, generate_intents, get_spec
 from test_device_kernels_identity import _flash_state
@@ -97,7 +93,7 @@ def _assert_collect_matches_reference(intents, make):
 
 
 class TestCollectPlanDevices:
-    """Plan loop (or, forced scalar, the ``_service`` loop) on flash."""
+    """Plan loop on flash devices and flash arrays."""
 
     @pytest.mark.parametrize("device_key", sorted(PLAN_DEVICES))
     @pytest.mark.parametrize("variant", ["msnfs", "zero-thinks", "async-bursts", "all-sync"])
@@ -151,9 +147,6 @@ class TestPlanSharing:
         replay_with_idle_batch(trace, replaying, idle_us=idle)
         replay_queue_depth(trace, new_node(), idle_us=idle, queue_depth=8)
         assert len(returned) == 3
-        if not kernels.columnar_enabled():
-            assert returned == [None, None, None]
-            return
         first = returned[0]
         assert first is not None
         assert all(plan is first for plan in returned)

@@ -1,27 +1,23 @@
-"""Bit-identity suite for the columnar device-model kernels.
+"""Bit-identity suite for the device-model fast paths.
 
-Every columnar kernel introduced by the storage-emulation overhaul must
-reproduce its retained scalar oracle *exactly* — same IEEE-754 doubles,
-same simulator state afterwards:
+Every fast path of the storage emulation must reproduce its retained
+scalar oracle *exactly* — same IEEE-754 doubles, same simulator state
+afterwards:
 
-- the wave kernels (:func:`repro.storage.kernels.read_wave_kernel` /
-  ``program_wave_kernel``) against the scalar per-page walks
-  ``FlashSSD._read_pages`` / ``_program_pages``;
 - the memoised busy walks (``FlashSSD._busy_read`` / ``_busy_program``,
-  including the exception/slice split) against the same oracles;
-- the grouped ``_service_batch`` kernels (flash and array) against the
-  retained per-request loops;
+  including the exception/slice split) against the scalar per-page
+  walks ``FlashSSD._read_pages`` / ``_program_pages``, at every extent
+  size up to 1024 pages;
+- idle-state batch pricing (``_service_batch``, flash and array)
+  against per-request ``_service`` on a reset device;
+- the extent and shape arithmetic the plan builders share
+  (``page_span``, ``group_shapes``);
 - the RAID member-stream decomposition against the scalar builders;
 - the plan loop, at queue depth and synchronously, against the scalar
   replay oracles, including *simulator-state equivalence* (die/channel
   busy stamps, write-buffer occupancy, horizons, RNG state where
-  present) and mixed batch/scalar use.
-
-CI runs this file twice: once with the columnar engines enabled and
-once with ``REPRO_SCALAR_KERNELS=1`` forcing the scalar paths, so the
-oracles cannot rot (see ``_forced_scalar`` below — when the engines are
-forced off the identity assertions compare the oracle with itself,
-which still exercises the toggle plumbing and the scalar paths).
+  present) and mixed batch/scalar use, with extents of up to 1100
+  pages.
 """
 
 from __future__ import annotations
@@ -36,14 +32,7 @@ from repro.replay import (
     replay_with_idle_batch,
 )
 from repro.storage import FlashArray, FlashGeometry, FlashSSD, HDDModel, Raid0, Raid1
-from repro.storage import kernels
-from repro.storage.kernels import (
-    COLUMNAR_MIN_PAGES,
-    group_shapes,
-    page_span,
-    program_wave_kernel,
-    read_wave_kernel,
-)
+from repro.storage.kernels import group_shapes, page_span
 from repro.trace.record import OpType
 from repro.trace.trace import BlockTrace
 from test_replay_batch import DEVICE_FACTORIES, assert_replays_identical
@@ -74,75 +63,17 @@ def _clone_state(ssd):
     return list(ssd._die_busy), list(ssd._chan_busy)
 
 
-class TestWaveKernels:
-    """Wave kernels vs the scalar page walks, all sizes and states."""
-
-    @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
-    @pytest.mark.parametrize("interleave", [True, False])
-    def test_read_wave_bit_identical(self, geom_key, interleave):
-        g = GEOMETRIES[geom_key]
-        ssd = FlashSSD(geometry=g, plane_interleave=interleave)
-        rng = np.random.default_rng(7)
-        td = g.total_dies
-        for n_pages in [1, 2, g.channels - 1, g.channels, g.channels + 1,
-                        td - 1, td, td + 1, 2 * td, 3 * td + 5]:
-            if n_pages < 1:
-                continue
-            for first_page in [0, 1, td - 1, 7 * td + 3]:
-                for t_ready in [0.0, 123.456]:
-                    _random_state(rng, ssd)
-                    d0, c0 = _clone_state(ssd)
-                    oracle = ssd._read_pages(range(first_page, first_page + n_pages), t_ready)
-                    d1, c1 = _clone_state(ssd)
-                    ssd._die_busy, ssd._chan_busy = list(d0), list(c0)
-                    got = read_wave_kernel(
-                        first_page, n_pages, t_ready, ssd._die_busy, ssd._chan_busy,
-                        g.channels, td, g.read_us, g.page_transfer_us,
-                        g.planes_per_die, interleave,
-                    )
-                    assert got == oracle
-                    assert ssd._die_busy == d1
-                    assert ssd._chan_busy == c1
-
-    @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
-    @pytest.mark.parametrize("interleave", [True, False])
-    def test_program_wave_bit_identical(self, geom_key, interleave):
-        g = GEOMETRIES[geom_key]
-        ssd = FlashSSD(geometry=g, plane_interleave=interleave)
-        rng = np.random.default_rng(11)
-        td = g.total_dies
-        for n_pages in [1, 3, g.channels, g.channels + 2, td, td + 1, 2 * td + 3]:
-            for first_page in [0, td - 2, 5 * td + 1]:
-                if first_page < 0:
-                    continue
-                for t_ready in [0.0, 987.25]:
-                    _random_state(rng, ssd)
-                    d0, c0 = _clone_state(ssd)
-                    oracle = ssd._program_pages(
-                        range(first_page, first_page + n_pages), t_ready
-                    )
-                    d1, c1 = _clone_state(ssd)
-                    ssd._die_busy, ssd._chan_busy = list(d0), list(c0)
-                    got = program_wave_kernel(
-                        first_page, n_pages, t_ready, ssd._die_busy, ssd._chan_busy,
-                        g.channels, td, g.program_us, g.page_transfer_us,
-                        g.planes_per_die, interleave,
-                    )
-                    assert got == oracle
-                    assert ssd._die_busy == d1
-                    assert ssd._chan_busy == c1
-
-
 class TestBusyWalks:
-    """Memoised busy walks (exception/slice split + wave dispatch)."""
+    """Memoised busy walks (exception/slice split, multi-wave walks)."""
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
-    def test_busy_read_matches_oracle(self, geom_key):
+    @pytest.mark.parametrize("interleave", [True, False])
+    def test_busy_read_matches_oracle(self, geom_key, interleave):
         g = GEOMETRIES[geom_key]
-        ssd = FlashSSD(geometry=g)
+        ssd = FlashSSD(geometry=g, plane_interleave=interleave)
         rng = np.random.default_rng(23)
         ps = g.page_sectors
-        for n_pages in [1, 2, g.channels, g.channels + 1, COLUMNAR_MIN_PAGES + 3]:
+        for n_pages in [1, 2, g.channels, g.channels + 1, 67, 1024]:
             for lba_page in [0, 3, g.total_dies + 1]:
                 lba = lba_page * ps
                 size = n_pages * ps
@@ -159,12 +90,13 @@ class TestBusyWalks:
                     assert ssd._chan_busy == c1
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
-    def test_busy_program_matches_oracle(self, geom_key):
+    @pytest.mark.parametrize("interleave", [True, False])
+    def test_busy_program_matches_oracle(self, geom_key, interleave):
         g = GEOMETRIES[geom_key]
-        ssd = FlashSSD(geometry=g)
+        ssd = FlashSSD(geometry=g, plane_interleave=interleave)
         rng = np.random.default_rng(29)
         ps = g.page_sectors
-        for n_pages in [1, 2, g.channels, g.channels + 2, COLUMNAR_MIN_PAGES + 1]:
+        for n_pages in [1, 2, g.channels, g.channels + 2, 65, 1024]:
             for lba_page in [0, 5]:
                 lba = lba_page * ps
                 size = n_pages * ps
@@ -182,17 +114,17 @@ class TestBusyWalks:
 
 
 class TestMultiPlaneInterleave:
-    """Satellite: ``_page_op_us`` edge cases, scalar vs columnar."""
+    """``_page_op_us`` edge cases: memoised busy walks vs the page walks."""
 
     def test_planes_per_die_one_no_speedup(self):
         g = FlashGeometry(channels=2, dies_per_channel=2, planes_per_die=1)
         ssd = FlashSSD(geometry=g)
         # Page count above the die count forces multi-visit waves.
         assert ssd._page_op_us(g.read_us, 3) == g.read_us
-        self._assert_kernels_match(g, plane_interleave=True)
+        self._assert_walks_match(g, plane_interleave=True)
 
     def test_interleave_disabled(self):
-        self._assert_kernels_match(FlashGeometry(), plane_interleave=False)
+        self._assert_walks_match(FlashGeometry(), plane_interleave=False)
 
     @pytest.mark.parametrize("n_pages_per_die", [1, 2, 3, 5])
     def test_page_count_around_plane_count(self, n_pages_per_die):
@@ -203,29 +135,27 @@ class TestMultiPlaneInterleave:
         oracle = ssd._read_pages(range(0, n_pages), 0.0)
         d1, c1 = list(ssd._die_busy), list(ssd._chan_busy)
         ssd.reset()
-        got = read_wave_kernel(
-            0, n_pages, 0.0, ssd._die_busy, ssd._chan_busy,
-            g.channels, g.total_dies, g.read_us, g.page_transfer_us,
-            g.planes_per_die, True,
-        )
+        entry = ssd._rel_entry(OpType.READ, 0, n_pages, n_pages * g.page_sectors)
+        got = ssd._busy_read(entry, 0.0)
         assert got == oracle
         assert ssd._die_busy == d1 and ssd._chan_busy == c1
 
     @staticmethod
-    def _assert_kernels_match(g, plane_interleave):
+    def _assert_walks_match(g, plane_interleave):
         ssd = FlashSSD(geometry=g, plane_interleave=plane_interleave)
         for n_pages in [1, g.planes_per_die, g.planes_per_die + 1, 2 * g.total_dies]:
-            ssd.reset()
-            oracle = ssd._program_pages(range(3, 3 + n_pages), 10.0)
-            d1, c1 = list(ssd._die_busy), list(ssd._chan_busy)
-            ssd.reset()
-            got = program_wave_kernel(
-                3, n_pages, 10.0, ssd._die_busy, ssd._chan_busy,
-                g.channels, g.total_dies, g.program_us, g.page_transfer_us,
-                g.planes_per_die, plane_interleave,
-            )
-            assert got == oracle
-            assert ssd._die_busy == d1 and ssd._chan_busy == c1
+            size = n_pages * g.page_sectors
+            for op, oracle_walk, busy_walk in (
+                (OpType.READ, ssd._read_pages, ssd._busy_read),
+                (OpType.WRITE, ssd._program_pages, ssd._busy_program),
+            ):
+                ssd.reset()
+                oracle = oracle_walk(range(3, 3 + n_pages), 10.0)
+                d1, c1 = list(ssd._die_busy), list(ssd._chan_busy)
+                ssd.reset()
+                got = busy_walk(ssd._rel_entry(op, 3, n_pages, size), 10.0)
+                assert got == oracle
+                assert ssd._die_busy == d1 and ssd._chan_busy == c1
 
 
 def _random_stream(rng, n, max_lba=1 << 22, max_size=600):
@@ -236,40 +166,57 @@ def _random_stream(rng, n, max_lba=1 << 22, max_size=600):
     )
 
 
-class TestGroupedServiceBatch:
-    """Grouped unique-shape kernels vs the retained per-request loops."""
+def _idle_service(device, ops, lbas, sizes):
+    """Per-request ``_service`` on a freshly reset device at t = 0."""
+    out = []
+    for op, lba, size in zip(ops.tolist(), lbas.tolist(), sizes.tolist()):
+        device.reset()
+        start, finish = device._service(OpType(op), lba, size, 0.0)
+        assert start == 0.0
+        out.append(finish)
+    return np.array(out, dtype=np.float64)
+
+
+class TestIdleServiceBatch:
+    """``_service_batch`` (memo-entry pricing) vs ``_service`` on an
+    idle device, request by request; the batch call is pure."""
 
     @pytest.mark.parametrize("geom_key", sorted(GEOMETRIES))
-    def test_flash_service_batch_identical(self, geom_key):
+    @pytest.mark.parametrize("interleave", [True, False])
+    def test_flash_service_batch_identical(self, geom_key, interleave):
         g = GEOMETRIES[geom_key]
         rng = np.random.default_rng(31)
         ops, lbas, sizes = _random_stream(rng, 300)
-        ssd = FlashSSD(geometry=g)
+        ssd = FlashSSD(geometry=g, plane_interleave=interleave)
         d0, c0 = _clone_state(ssd)
-        scalar = ssd._service_batch_scalar(ops, lbas, sizes)
-        columnar = ssd._service_batch_columnar(ops, lbas, sizes)
-        np.testing.assert_array_equal(scalar, columnar)
-        # Both paths are pure w.r.t. timing state.
+        got = ssd._service_batch(ops, lbas, sizes)
         assert ssd._die_busy == d0 and ssd._chan_busy == c0
+        oracle = _idle_service(
+            FlashSSD(geometry=g, plane_interleave=interleave), ops, lbas, sizes
+        )
+        np.testing.assert_array_equal(got, oracle)
 
     def test_array_service_batch_identical(self):
         rng = np.random.default_rng(37)
         ops, lbas, sizes = _random_stream(rng, 300)
         arr = FlashArray()
-        scalar = arr._service_batch_scalar(ops, lbas, sizes)
-        columnar = arr._service_batch_columnar(ops, lbas, sizes)
-        np.testing.assert_array_equal(scalar, columnar)
+        before = _flash_state(arr)
+        got = arr._service_batch(ops, lbas, sizes)
+        assert _flash_state(arr) == before
+        np.testing.assert_array_equal(got, _idle_service(FlashArray(), ops, lbas, sizes))
 
     def test_array_service_batch_wide_extents(self):
         # Extents spanning many stripes (fragment count above n_ssds).
-        arr = FlashArray(n_ssds=3, stripe_kb=8)
-        ops = np.zeros(40, dtype=np.int8)
+        ops = np.array([0, 1] * 20, dtype=np.int8)
         lbas = np.arange(40, dtype=np.int64) * 13
         sizes = np.full(40, 8 * 2 * 7, dtype=np.int64)  # 7 stripes each
-        np.testing.assert_array_equal(
-            arr._service_batch_scalar(ops, lbas, sizes),
-            arr._service_batch_columnar(ops, lbas, sizes),
-        )
+        got = FlashArray(n_ssds=3, stripe_kb=8)._service_batch(ops, lbas, sizes)
+        oracle = _idle_service(FlashArray(n_ssds=3, stripe_kb=8), ops, lbas, sizes)
+        np.testing.assert_array_equal(got, oracle)
+
+
+class TestShapeArithmetic:
+    """Extent and shape helpers shared by the plan builders."""
 
     def test_group_shapes_roundtrip(self):
         rng = np.random.default_rng(41)
@@ -343,7 +290,9 @@ class TestRaidStreams:
         expected = raid._member_streams_scalar(ops, lbas, sizes, 0)
         self._assert_streams_equal(streams, expected)
 
-    def test_raid_service_batch_end_to_end(self):
+    def test_raid_service_batch_end_to_end(self, monkeypatch):
+        """Batch pricing over the columnar streams vs over the scalar
+        builder's streams (patched in on the oracle device)."""
         rng = np.random.default_rng(59)
         for make in (
             lambda: Raid0([HDDModel(seed=s) for s in (1, 2, 3)], stripe_kb=64),
@@ -351,12 +300,9 @@ class TestRaidStreams:
         ):
             ops, lbas, sizes = _random_stream(rng, 120, max_size=64 * 2 * 3)
             d1, d2 = make(), make()
+            monkeypatch.setattr(d2, "_member_streams", d2._member_streams_scalar)
             got = d1.service_batch(ops, lbas, sizes)
-            kernels.set_force_scalar(True)
-            try:
-                expected = d2.service_batch(ops, lbas, sizes)
-            finally:
-                kernels.set_force_scalar(False)
+            expected = d2.service_batch(ops, lbas, sizes)
             assert (got is None) == (expected is None)
             if got is not None:
                 np.testing.assert_array_equal(got, expected)
@@ -441,14 +387,15 @@ class TestPlanReplayStateEquivalence:
             ops=np.zeros(n, dtype=np.int8),  # reads: batch-capable
         )
         d_fast, d_oracle = FlashArray(), FlashArray()
-        # Pure batch pricing consumes no timing state on either engine.
+        # Batch pricing equals each request's ``_service`` on an idle
+        # array at t_ready = 0 (so finish is the service time exactly).
         svc_fast = d_fast.service_batch(trace.ops, trace.lbas, trace.sizes)
-        kernels.set_force_scalar(True)
-        try:
-            svc_oracle = d_oracle.service_batch(trace.ops, trace.lbas, trace.sizes)
-        finally:
-            kernels.set_force_scalar(False)
-        np.testing.assert_array_equal(svc_fast, svc_oracle)
+        pricer = FlashArray()
+        svc_oracle = []
+        for lba, size in zip(trace.lbas.tolist(), trace.sizes.tolist()):
+            pricer.reset()
+            svc_oracle.append(pricer._service(OpType.READ, lba, size, 0.0)[1])
+        np.testing.assert_array_equal(svc_fast, np.array(svc_oracle))
         # Replay (plan engine vs oracle), then identical scalar submits.
         fast = replay_queue_depth(trace, d_fast, queue_depth=3)
         oracle = replay_queue_depth_scalar(trace, d_oracle, queue_depth=3)
@@ -482,42 +429,58 @@ class TestPlanReplayStateEquivalence:
         assert d1._rng.uniform() == d2._rng.uniform()
 
 
-class TestForcedScalarToggle:
-    """The env toggle swaps engines without changing any result."""
+#: Flash-family devices for the large-extent replays: every geometry
+#: as a single SSD plus two array layouts (one with many-stripe extents).
+LARGE_EXTENT_DEVICES = {
+    **{
+        f"flash-{key}": (lambda g=g: FlashSSD(geometry=g))
+        for key, g in GEOMETRIES.items()
+    },
+    "array-default": lambda: FlashArray(),
+    "array-narrow-stripes": lambda: FlashArray(n_ssds=3, stripe_kb=8),
+}
 
-    def test_replay_identical_under_both_engines(self):
-        rng = np.random.default_rng(73)
-        n = 80
-        trace = BlockTrace(
-            timestamps=np.arange(n, dtype=np.float64),
-            lbas=rng.integers(0, 1 << 22, n),
-            sizes=rng.integers(1, 600, n),
-            ops=rng.integers(0, 2, n).astype(np.int8),
+
+def _large_extent_trace(device, n=40, seed=79):
+    """Mixed trace whose extents reach 1100 flash pages."""
+    geometry = device.ssds[0].geometry if isinstance(device, FlashArray) else device.geometry
+    rng = np.random.default_rng(seed)
+    trace = BlockTrace(
+        timestamps=np.cumsum(rng.integers(1, 300, n)).astype(np.float64),
+        lbas=rng.integers(0, 1 << 22, n),
+        sizes=rng.integers(1, 1100, n) * geometry.page_sectors,
+        ops=rng.integers(0, 2, n).astype(np.int8),
+    )
+    return trace, rng.uniform(0.0, 2000.0, n - 1)
+
+
+class TestLargeExtentReplay:
+    """Extents of hundreds of pages through the plan loop, which serves
+    every extent size with the memoised walks, vs the oracles."""
+
+    @pytest.mark.parametrize("device_key", sorted(LARGE_EXTENT_DEVICES))
+    def test_sync_plan_matches_service_loop(self, device_key, monkeypatch):
+        make = LARGE_EXTENT_DEVICES[device_key]
+        plan_dev, loop_dev = make(), make()
+        trace, idle = _large_extent_trace(plan_dev)
+        with_plan = replay_with_idle_batch(trace, plan_dev, idle)
+        monkeypatch.setattr(loop_dev, "replay_plan", lambda ops, lbas, sizes: None)
+        without_plan = replay_with_idle_batch(trace, loop_dev, idle)
+        assert_replays_identical(with_plan, without_plan)
+        assert _flash_state(plan_dev) == _flash_state(loop_dev)
+
+    @pytest.mark.parametrize("device_key", sorted(LARGE_EXTENT_DEVICES))
+    def test_queue_depth_plan_matches_scalar_oracle(self, device_key):
+        make = LARGE_EXTENT_DEVICES[device_key]
+        fast_dev, oracle_dev = make(), make()
+        trace, idle = _large_extent_trace(fast_dev)
+        assert fast_dev.replay_plan(trace.ops, trace.lbas, trace.sizes) is not None
+        fast = replay_queue_depth(
+            trace, fast_dev, idle_us=idle, queue_depth=3, engine="plan"
         )
-        idle = rng.uniform(0, 500.0, n - 1)
-        d1, d2 = FlashArray(), FlashArray()
-        columnar = replay_queue_depth(trace, d1, idle_us=idle, queue_depth=4)
-        kernels.set_force_scalar(True)
-        try:
-            assert d2.replay_plan(trace.ops, trace.lbas, trace.sizes) is None
-            forced = replay_queue_depth(trace, d2, idle_us=idle, queue_depth=4)
-        finally:
-            kernels.set_force_scalar(False)
-        assert_replays_identical(columnar, forced)
-        assert _flash_state(d1) == _flash_state(d2)
-
-    def test_toggle_reflects_environment(self, monkeypatch):
-        import importlib
-
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        state = kernels._FORCE_SCALAR
-        try:
-            importlib.reload(kernels)
-            assert not kernels.columnar_enabled()
-        finally:
-            monkeypatch.delenv("REPRO_SCALAR_KERNELS")
-            importlib.reload(kernels)
-            kernels.set_force_scalar(state)
+        oracle = replay_queue_depth_scalar(trace, oracle_dev, idle_us=idle, queue_depth=3)
+        assert_replays_identical(fast, oracle)
+        assert _flash_state(fast_dev) == _flash_state(oracle_dev)
 
 
 class TestFastVsScalarPathPin:

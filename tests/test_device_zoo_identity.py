@@ -6,8 +6,9 @@ identical replay stamps under every engine pairing:
 - synchronous scalar replay vs the batch fast path;
 - the production queue-depth engine vs its retained scalar oracle, at
   queue depth 1 (FIFO fast path) and 3 (``_service`` loop / plan loop);
-- the columnar kernels vs the forced-scalar engines
-  (``REPRO_SCALAR_KERNELS`` seam, toggled via ``set_force_scalar``);
+- the plan loop vs the per-request ``_service`` loop under the
+  synchronous clock rule (``replay_plan`` patched to ``None`` on the
+  device instance);
 - whole-stream ``service_batch`` pricing vs the same stream priced in
   two chunks (order-dependent state — stall ordinals, mirror round
   robin, SMR zone pointers — must advance identically).
@@ -30,7 +31,6 @@ from repro.replay import (
     replay_with_idle,
     replay_with_idle_batch,
 )
-from repro.storage import kernels
 from repro.trace.trace import BlockTrace
 from test_replay_batch import assert_replays_identical
 
@@ -137,26 +137,24 @@ class TestQueueDepthIdentity:
         assert_replays_identical(fast, oracle)
 
 
-class TestCrossEngineIdentity:
-    """Columnar engines vs forced-scalar engines, bitwise."""
+class TestPlanVsServiceLoop:
+    """Synchronous replay with and without a replay plan, bitwise.
+
+    Plan devices (flash, flash arrays) run the plan loop under every
+    clock rule; with ``replay_plan`` patched to ``None`` they run the
+    generic ``_service`` loop instead.  Queue depth has the same
+    differential through ``engine="events"`` above.  Plan-less devices
+    take the same path on both sides.
+    """
 
     @pytest.mark.parametrize("entry", sorted(ZOO))
-    def test_forced_scalar_matches_columnar(self, entry):
+    def test_sync_without_plan_matches_plan(self, entry, monkeypatch):
         trace, idle = _zoo_trace()
-        columnar_sync = replay_with_idle_batch(trace, _build(entry), idle)
-        columnar_qd = replay_queue_depth(
-            trace, _build(entry), idle_us=idle, queue_depth=3
-        )
-        kernels.set_force_scalar(True)
-        try:
-            forced_sync = replay_with_idle_batch(trace, _build(entry), idle)
-            forced_qd = replay_queue_depth(
-                trace, _build(entry), idle_us=idle, queue_depth=3
-            )
-        finally:
-            kernels.set_force_scalar(False)
-        assert_replays_identical(columnar_sync, forced_sync)
-        assert_replays_identical(columnar_qd, forced_qd)
+        with_plan = replay_with_idle_batch(trace, _build(entry), idle)
+        device = _build(entry)
+        monkeypatch.setattr(device, "replay_plan", lambda ops, lbas, sizes: None)
+        without_plan = replay_with_idle_batch(trace, device, idle)
+        assert_replays_identical(with_plan, without_plan)
 
 
 class TestChunkedBatchPricing:

@@ -642,6 +642,91 @@ class TestConcurrency:
         with LakeCatalog(db) as cat:
             assert cat.counts()["campaign_points"] == 80
 
+    def test_second_open_between_stamp_read_and_write(self, tmp_path, monkeypatch):
+        """Two openers bootstrapping one fresh lake both succeed.
+
+        Deterministic interleaving: right after the first opener's first
+        ``lake_meta`` statement — the window between reading and writing
+        the schema stamp in a read-then-insert bootstrap — a complete
+        second open runs.  It runs on its own thread, joined with a
+        short timeout: a bootstrap that writes the stamp first holds the
+        write lock at that point, so the second open can only finish
+        once the first commits.
+        """
+        import sqlite3
+
+        db = tmp_path / "lake.sqlite"
+        errors: list[Exception] = []
+
+        def second_open() -> None:
+            try:
+                LakeCatalog(db).close()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        second = threading.Thread(target=second_open)
+
+        class PausingConnection(sqlite3.Connection):
+            paused = False
+
+            def execute(self, sql, *args):
+                cursor = super().execute(sql, *args)
+                if "lake_meta" in sql and not PausingConnection.paused:
+                    PausingConnection.paused = True
+                    second.start()
+                    second.join(timeout=0.5)
+                return cursor
+
+        real_connect = sqlite3.connect
+        connects: list[str] = []
+
+        def connect(*args, **kwargs):
+            if not connects:
+                kwargs["factory"] = PausingConnection
+            connects.append(str(args[0]))
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        try:
+            LakeCatalog(db).close()
+        finally:
+            if second.ident is not None:
+                second.join(timeout=60)
+        assert PausingConnection.paused and len(connects) == 2
+        assert not second.is_alive()
+        assert errors == []
+        with LakeCatalog(db) as cat:
+            rows = cat._conn.execute("SELECT key, value FROM lake_meta").fetchall()
+        assert rows == [("schema_version", "1")]
+
+
+    def test_many_openers_of_fresh_lakes(self, tmp_path):
+        """Randomised companion of the interleaving test above: six
+        threads released together open one fresh lake, 25 lakes over."""
+        n_threads = 6
+        errors: list[Exception] = []
+
+        def open_once(db, barrier):
+            try:
+                barrier.wait(timeout=30)
+                LakeCatalog(db).close()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        for round_no in range(25):
+            db = tmp_path / f"lake{round_no}.sqlite"
+            barrier = threading.Barrier(n_threads)
+            threads = [
+                threading.Thread(target=open_once, args=(db, barrier))
+                for _ in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
 
 # ----------------------------------------------------------------------
 # repro-lake CLI
